@@ -21,7 +21,7 @@ from renewal_arma import (
     second_moment_limit,
     unit_circle_grid,
 )
-from renewal_arma.arma import theta_poly
+from renewal_arma.arma import scale_constant, theta_poly
 
 
 def draw_spec(rng, p):
@@ -61,8 +61,7 @@ def main():
                 worst_id = max(worst_id, abs(gen_eval_arma(model, z) - ref) / abs(ref))
             worst_acvf = max(worst_acvf, float(np.max(np.abs(
                 arma_acvf(model, 50) - acvf_renewal(spec, args.M, 50)))))
-            th = theta_poly(model)
-            k2 = spec.variance() * pgf.den(1.0) ** 2 / (th(1.0) ** 2 * pgf.den.coeffs[0] ** 2)
+            k2 = scale_constant(spec.variance(), pgf.den, theta_poly(model))
             worst_k = max(worst_k, abs(model.k - k2) / abs(k2))
             worst_lim = max(worst_lim, abs(second_moment_limit(pgf) - spec.variance()))
         order_text = ",".join(f"({a},{b})" for a, b in sorted(orders))

@@ -57,12 +57,10 @@ from .polynomials import (
     sym_product_diff,
 )
 from .renewal import (
-    RenewalTable,
     acvf_renewal,
     delayed_probs,
     gen_eval_renewal,
     renewal_probs,
-    renewal_table,
 )
 from .simulate import (
     ContextStats,
@@ -71,8 +69,6 @@ from .simulate import (
     chain_rng,
     empirical_conditionals,
     sample_acvf,
-    sample_equilibrium_delay,
-    sample_lifetime,
     simulate_chain,
     simulate_counts,
 )
@@ -90,9 +86,7 @@ __all__ = [
     "markov_order_test", "mgf_trivariate", "step_pair_law",
     "Poly", "SymLaurent", "deflate_at_one", "divide_sym_by_unit_pair",
     "factor_outside", "roots", "sym_product_diff",
-    "RenewalTable", "acvf_renewal", "delayed_probs", "gen_eval_renewal",
-    "renewal_probs", "renewal_table",
+    "acvf_renewal", "delayed_probs", "gen_eval_renewal", "renewal_probs",
     "ContextStats", "CountSeries", "SimConfig", "chain_rng",
-    "empirical_conditionals", "sample_acvf", "sample_equilibrium_delay",
-    "sample_lifetime", "simulate_chain", "simulate_counts",
+    "empirical_conditionals", "sample_acvf", "simulate_chain", "simulate_counts",
 ]

@@ -28,6 +28,7 @@ from .polynomials import (
     deflate_at_one,
     divide_sym_by_unit_pair,
     factor_outside,
+    rational_series,
     roots,
     sym_product_diff,
 )
@@ -51,6 +52,7 @@ class ArmaModel:
     M: int
     mu: float
     sigma2: float = field(default=None)  # type: ignore[assignment]
+    _causality: CausalityReport | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.sigma2 is None:
@@ -74,8 +76,8 @@ def factorize(pgf: RationalPGF, M: int) -> ArmaModel:
     normalize to get phi; form ``den*den(1/z) - num*num(1/z)``; divide out its
     double zero at z = 1; factor what remains into ``k_raw * theta theta(1/z)``
     with theta-roots outside the circle.  The constant is cross-checked
-    against the closed form ``Var[L] * den(1)**2 / (theta(1)**2 * den(0)**2)``;
-    disagreement beyond 1e-9 relative is treated as a bug, not a warning.
+    against :func:`scale_constant`; disagreement beyond 1e-9 relative is
+    treated as a bug, not a warning.
     """
     if M < 1:
         raise ValueError("superposition count must be positive")
@@ -94,8 +96,7 @@ def factorize(pgf: RationalPGF, M: int) -> ArmaModel:
     k = k_raw / Q.coeffs[0] ** 2
 
     mu = pgf.mean()
-    var_l = pgf.variance()
-    k_formula = var_l * Q(1.0) ** 2 / (theta_p(1.0) ** 2 * Q.coeffs[0] ** 2)
+    k_formula = scale_constant(pgf.variance(), Q, theta_p)
     if abs(k - k_formula) > K_CROSS_CHECK_RTOL * abs(k_formula):
         raise FactorizationError(
             f"factorization inconsistent with the closed-form constant: "
@@ -105,6 +106,11 @@ def factorize(pgf: RationalPGF, M: int) -> ArmaModel:
     model = ArmaModel(phi=phi, theta=theta, k=k, M=M, mu=mu)
     validate_model(model)
     return model
+
+
+def scale_constant(var_l: float, den: Poly, theta: Poly) -> float:
+    """Closed-form scale constant ``Var[L] * den(1)**2 / (theta(1)**2 * den(0)**2)``."""
+    return var_l * den(1.0) ** 2 / (theta(1.0) ** 2 * den.coeffs[0] ** 2)
 
 
 def closed_form_p2(f1: float, f2: float, r: float) -> tuple[tuple[float, ...], tuple[float, ...], float]:
@@ -142,28 +148,22 @@ def closed_form_p2(f1: float, f2: float, r: float) -> tuple[tuple[float, ...], t
 def arma_acvf(model: ArmaModel, hmax: int) -> np.ndarray:
     """Autocovariance gamma(0..hmax) via the truncated infinite moving average.
 
-    psi(z) = theta(z)/phi(z) is expanded until the geometric tail bound
-    ``rho**T / (1 - rho) < 1e-14`` holds, with rho the largest reciprocal
-    modulus of the AR roots; then gamma(h) = sigma2 * sum_j psi_j psi_{j+h}.
+    psi(z) = theta(z)/phi(z) is expanded by :func:`rational_series` until the
+    geometric tail bound ``rho**T / (1 - rho) < 1e-14`` holds, with rho the
+    largest reciprocal modulus of the AR roots; then
+    gamma(h) = sigma2 * sum_j psi_j psi_{j+h}.
     """
     if hmax < 0:
         raise ValueError("hmax must be nonnegative")
-    p, q = len(model.phi), len(model.theta)
-    if p == 0:
-        T = q + 1
-    else:
-        rho = max(1.0 / abs(z) for z in roots(phi_poly(model)))
+    T = len(model.theta) + 1
+    ar_moduli = check_causal_invertible(model).ar_root_moduli
+    if ar_moduli:
+        rho = 1.0 / min(ar_moduli)
         if rho > 1.0 - 1e-6:
             raise FactorizationError("numerically non-causal")
-        T = max(q + 1, math.ceil(math.log(1e-14 * (1.0 - rho)) / math.log(rho)) + 1)
+        T = max(T, math.ceil(math.log(1e-14 * (1.0 - rho)) / math.log(rho)) + 1)
     length = T + hmax
-    psi = np.zeros(length)
-    psi[0] = 1.0
-    for j in range(1, length):
-        acc = model.theta[j - 1] if j <= q else 0.0
-        for i in range(1, min(j, p) + 1):
-            acc += model.phi[i - 1] * psi[j - i]
-        psi[j] = acc
+    psi = rational_series(theta_poly(model), phi_poly(model), length)
     return model.sigma2 * np.array([np.dot(psi[: length - h], psi[h:]) for h in range(hmax + 1)])
 
 
@@ -181,39 +181,44 @@ def gen_eval_arma(model: ArmaModel, z: complex) -> complex:
 
 @dataclass(frozen=True)
 class CausalityReport:
-    """Root moduli of the AR and MA characteristic polynomials."""
+    """Roots of the AR and MA polynomials, their moduli and the smallest AR/MA root
+    distance; ``passes`` means every root lies farther than ``tol`` outside the unit circle."""
 
+    ar_roots: tuple[complex, ...]
+    ma_roots: tuple[complex, ...]
     ar_root_moduli: tuple[float, ...]
     ma_root_moduli: tuple[float, ...]
+    min_root_gap: float
     tol: float
     passes: bool
 
 
-def check_causal_invertible(model: ArmaModel, tol_circle: float = TOL_CIRCLE) -> CausalityReport:
-    """Diagnostic: every root of phi and theta must lie outside the unit circle."""
-    ar = phi_poly(model)
-    ma = theta_poly(model)
-    ar_mod = tuple(float(abs(z)) for z in roots(ar)) if ar.degree >= 1 else ()
-    ma_mod = tuple(float(abs(z)) for z in roots(ma)) if ma.degree >= 1 else ()
-    ok = all(m > 1.0 + tol_circle for m in ar_mod + ma_mod)
-    return CausalityReport(ar_root_moduli=ar_mod, ma_root_moduli=ma_mod, tol=tol_circle, passes=ok)
+def check_causal_invertible(model: ArmaModel) -> CausalityReport:
+    """The one place that roots phi and theta; the report is kept on the
+    (immutable) model, so later calls for the same model do not root again."""
+    if model._causality is not None:
+        return model._causality
+    ar_roots, ma_roots = (tuple(roots(p)) if p.degree >= 1 else ()
+                          for p in (phi_poly(model), theta_poly(model)))
+    ar_mod, ma_mod = (tuple(float(abs(z)) for z in zs) for zs in (ar_roots, ma_roots))
+    gap = min((abs(a - b) for a in ar_roots for b in ma_roots), default=math.inf)
+    report = CausalityReport(ar_roots, ma_roots, ar_mod, ma_mod, gap, TOL_CIRCLE,
+                             passes=all(m > 1.0 + TOL_CIRCLE for m in ar_mod + ma_mod))
+    object.__setattr__(model, "_causality", report)
+    return report
 
 
-def validate_model(model: ArmaModel, tol_circle: float = TOL_CIRCLE) -> None:
+def validate_model(model: ArmaModel) -> None:
     """Raise unless the model is causal, invertible, and nondegenerate."""
     if model.k <= 0.0 or model.sigma2 <= 0.0:
         raise FactorizationError("model constants must be positive")
-    ar, ma = phi_poly(model), theta_poly(model)
-    ar_roots = roots(ar) if ar.degree >= 1 else []
-    ma_roots = roots(ma) if ma.degree >= 1 else []
-    for z in ar_roots:
-        if abs(z) <= 1.0 + tol_circle:
-            raise FactorizationError(f"AR root {z} not outside the unit circle")
-    for z in ma_roots:
-        if abs(z) <= 1.0 + tol_circle:
-            raise FactorizationError(f"MA root {z} not outside the unit circle")
-    for a in ar_roots:
-        for b in ma_roots:
+    report = check_causal_invertible(model)
+    for part, zs in (("AR", report.ar_roots), ("MA", report.ma_roots)):
+        for z in zs:
+            if abs(z) <= 1.0 + report.tol:
+                raise FactorizationError(f"{part} root {z} not outside the unit circle")
+    for a in report.ar_roots:
+        for b in report.ma_roots:
             if abs(a - b) < COMMON_ROOT_TOL:
                 raise FactorizationError(f"AR and MA parts share the root {a}")
 

@@ -1,6 +1,7 @@
 """Command line interface: factorize, simulate, verify, markov.
 
-Exit codes: 0 success, 2 argument error, 3 validation (lattice/mass) error,
+Exit codes: 0 success, 2 argument error (bad flag or config value, unreadable
+or unwritable path), 3 validation error (lattice/mass, malformed model file),
 4 numerical-factorization error, 5 verification-gate failure.
 
 Every command is deterministic given its full argument vector (including the
@@ -26,6 +27,7 @@ from .arma import (
     factorize,
     model_from_dict,
     model_to_dict,
+    scale_constant,
     theta_poly,
 )
 from .errors import FactorizationError, RenewalArmaError, ValidationError
@@ -41,10 +43,10 @@ EXIT_VALIDATION = 3
 EXIT_FACTORIZATION = 4
 EXIT_GATES = 5
 
+REPEATABLE_FLAGS = ("mgf",)  # a --config list for one of these holds one value per repetition
+
 
 def _csv_floats(text):
-    if isinstance(text, (list, tuple)):
-        return [float(x) for x in text]
     try:
         return [float(x) for x in str(text).split(",") if x != ""]
     except ValueError:
@@ -103,24 +105,28 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _merge_config(parser, args):
-    if not getattr(args, "config", None):
-        return args
+def _config_flags(parser, args) -> list[str]:
+    """The ``--config`` values of flags not on the command line, as flag arguments for the parser."""
     try:
         with open(args.config) as fh:
             conf = json.load(fh)
-    except (OSError, json.JSONDecodeError) as e:
+    except (OSError, ValueError) as e:
         parser.error(f"cannot read config {args.config}: {e}")
     if not isinstance(conf, dict):
         parser.error("config file must hold a JSON object")
+    tokens = []
     for key, value in conf.items():
         attr = key.replace("-", "_")
         if not hasattr(args, attr) or attr in ("func", "command", "config"):
             parser.error(f"unknown config key {key!r}")
         current = getattr(args, attr)
-        if current is None or current is False:
-            setattr(args, attr, value)
-    return args
+        if (current is None or current is False) and value is not None and value is not False:
+            flag = "--" + attr.replace("_", "-")
+            values = value if attr in REPEATABLE_FLAGS and isinstance(value, list) else [value]
+            for v in values:  # true stands for an on/off flag; one that takes a value rejects it
+                text = ",".join(map(str, v)) if isinstance(v, list) else str(v)
+                tokens.append(flag if v is True else f"{flag}={text}")
+    return tokens
 
 
 def _require(parser, args, names):
@@ -182,12 +188,11 @@ def cmd_factorize(parser, args) -> int:
     model = factorize(pgf, M)
     report = check_causal_invertible(model)
     var_l = pgf.variance()
-    th = theta_poly(model)
-    k_formula = var_l * pgf.den(1.0) ** 2 / (th(1.0) ** 2 * pgf.den.coeffs[0] ** 2)
     _emit({
         "schema_version": 1,
         "model": model_to_dict(model),
-        "k_routes": {"constant_term": model.k, "variance_formula": k_formula},
+        "k_routes": {"constant_term": model.k,
+                     "variance_formula": scale_constant(var_l, pgf.den, theta_poly(model))},
         "mu": model.mu,
         "sigma_l2": var_l,
         "ar_root_moduli": list(report.ar_root_moduli),
@@ -252,7 +257,10 @@ def cmd_verify(parser, args) -> int:
         spec = _build_spec(args)
     if args.model is not None:
         with open(args.model) as fh:
-            obj = json.load(fh)
+            try:
+                obj = json.load(fh)
+            except ValueError as e:  # also a file that is not UTF-8 text
+                raise ValidationError(f"malformed model JSON: {e}") from None
         payload = obj.get("model", obj) if isinstance(obj, dict) else obj
         model = model_from_dict(payload)
         declared = payload.get("sigma2")
@@ -306,8 +314,10 @@ def cmd_markov(parser, args) -> int:
 
 def main(argv=None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     args = parser.parse_args(argv)
-    args = _merge_config(parser, args)
+    if args.config:  # parsed again so that config values are converted and checked as flags are
+        args = parser.parse_args(argv + _config_flags(parser, args))
     try:
         return args.func(parser, args)
     except ValidationError as e:  # includes LatticeError
@@ -319,9 +329,9 @@ def main(argv=None) -> int:
     except RenewalArmaError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-    except OSError as e:
-        print(f"io error: {e}", file=sys.stderr)
-        return 1
+    except OSError as e:  # every path the commands open is one the user named
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_ARGS
 
 
 if __name__ == "__main__":

@@ -12,8 +12,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .errors import LatticeError, SingularEvaluationError, ValidationError
-from .polynomials import Poly, resultant
+from .polynomials import Poly, rational_series, resultant
 
 SERIES_CHECK_TERMS = 200
 
@@ -95,8 +97,8 @@ class LifetimeSpec:
             raise ValueError("delays are nonnegative integers")
         return self.survival(n) / self.mean()
 
-    def pgf(self) -> "RationalPGF":
-        """Probability generating function as a ratio of polynomials.
+    def pgf_polys(self) -> tuple[Poly, Poly]:
+        """Numerator and denominator of the probability generating function.
 
         Numerator ``z * [f_1 + (f_2 - f_1 r) z + ... + (f_{p+1} - f_p r) z**p]``
         over denominator ``1 - r z``.  The pair is coprime because the
@@ -104,7 +106,11 @@ class LifetimeSpec:
         """
         f = list(self.head) + [self.tail_first]
         num = [0.0, f[0]] + [f[i] - f[i - 1] * self.r for i in range(1, len(f))]
-        return make_rational_pgf(Poly(tuple(num)), Poly((1.0, -self.r)))
+        return Poly(tuple(num)), Poly((1.0, -self.r))
+
+    def pgf(self) -> "RationalPGF":
+        """Probability generating function as a validated ratio of polynomials."""
+        return make_rational_pgf(*self.pgf_polys())
 
 
 def make_constant_hazard(head, r: float, *, allow_zero_f1: bool = False) -> LifetimeSpec:
@@ -163,16 +169,9 @@ class RationalPGF:
         except ZeroDivisionError:
             raise SingularEvaluationError("evaluation at a pole of the generating function") from None
 
-    def series(self, terms: int) -> list[float]:
-        """Power-series coefficients of num/den by synthetic long division."""
-        p, q = self.num.coeffs, self.den.coeffs
-        out = []
-        for n in range(terms):
-            acc = p[n] if n < len(p) else 0.0
-            for j in range(1, min(n, len(q) - 1) + 1):
-                acc -= q[j] * out[n - j]
-            out.append(acc / q[0])
-        return out
+    def series(self, terms: int) -> np.ndarray:
+        """Power-series coefficients ``P(L = 0), ..., P(L = terms - 1)`` of num/den."""
+        return rational_series(self.num, self.den, terms)
 
     def mean(self) -> float:
         """F'(1) by the quotient rule."""
@@ -210,7 +209,7 @@ def make_rational_pgf(num: Poly, den: Poly) -> RationalPGF:
         raise ValidationError("numerator and denominator share a factor; reduce to lowest terms")
     pgf = RationalPGF(num=num, den=den)
     coeffs = pgf.series(SERIES_CHECK_TERMS)
-    if min(coeffs) < -1e-12:
+    if coeffs.min() < -1e-12:
         raise ValidationError("power series of the generating function has negative coefficients")
     return pgf
 

@@ -109,7 +109,8 @@ def conditional_probs_p2(spec: LifetimeSpec) -> dict[str, float]:
     joint = joint_probs_p2(spec)
     inv = 1.0 / spec.mean()
     long_form = joint.q / (1.0 - 2.0 * inv + f1 * inv)
-    assert abs(long_form - r) < 1e-10, "conditional table failed its internal consistency check"
+    if not abs(long_form - r) < 1e-10:
+        raise ValidationError("conditional table failed its internal consistency check")
     return table
 
 

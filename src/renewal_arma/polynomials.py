@@ -17,6 +17,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import lapack
 
 from .errors import FactorizationError
 
@@ -123,6 +124,26 @@ class SymLaurent:
         t = np.asarray(t, dtype=float)
         h = np.arange(1, c.size)
         return c[0] + 2.0 * (np.cos(np.multiply.outer(t, h)) @ c[1:])
+
+
+def rational_series(num: Poly, den: Poly, terms: int) -> np.ndarray:
+    """First ``terms`` power-series coefficients of ``num(z) / den(z)``; needs ``den(0) != 0``.
+
+    They solve ``T(den) y = num``, T(den) being lower-triangular banded Toeplitz
+    with ``den[i]`` on its i-th subdiagonal: a forward substitution in
+    O(terms * deg den), done by LAPACK's banded triangular solve.
+    """
+    if terms < 0:
+        raise ValueError("number of terms must be nonnegative")
+    if den.degree < 0 or den.coeffs[0] == 0.0:
+        raise ValueError("denominator must have a nonzero constant term")
+    band = np.asarray(den.coeffs[:terms])
+    # lower band storage ab[i, j] = T[j + i, j] = den[i], as a view the solver copies once
+    ab = np.broadcast_to(band[:, None], (band.size, terms))
+    rhs = np.zeros(terms)
+    rhs[: min(terms, len(num.coeffs))] = num.coeffs[:terms]
+    y, _ = lapack.dtbtrs(ab, rhs, uplo="L")  # nonzero info only for a zero diagonal, excluded above
+    return y
 
 
 def roots(p: Poly, tol_resid: float = TOL_RESID) -> list[complex]:

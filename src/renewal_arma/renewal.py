@@ -7,29 +7,23 @@ from the lifetime's rational generating function.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import SingularEvaluationError
 from .lifetime import LifetimeSpec, RationalPGF
-
-DEFAULT_HORIZON = 512
+from .polynomials import rational_series
 
 
 def renewal_probs(spec: LifetimeSpec, N: int) -> np.ndarray:
     """``u[0..N]`` for the pure process: u_0 = 1, u_n = sum_{j<n} u_j f_{n-j}.
 
-    Reference O(N^2) evaluation of the recursion; u_n tends to 1/E[L].
+    u is the power series of 1 / (1 - F) = den / (den - num), F = num/den the
+    lifetime's pgf; u_n tends to 1/E[L].
     """
     if N < 0:
         raise ValueError("horizon must be nonnegative")
-    u = np.zeros(N + 1)
-    u[0] = 1.0
-    f = np.array([spec.pmf(n) for n in range(1, N + 1)])
-    for n in range(1, N + 1):
-        u[n] = np.dot(u[:n], f[n - 1 :: -1])
-    return u
+    num, den = spec.pgf_polys()
+    return rational_series(den, den - num, N + 1)
 
 
 def delayed_probs(spec: LifetimeSpec, N: int) -> np.ndarray:
@@ -39,20 +33,6 @@ def delayed_probs(spec: LifetimeSpec, N: int) -> np.ndarray:
     b = np.array([spec.equilibrium_pmf(n) for n in range(N + 1)])
     u = renewal_probs(spec, N)
     return np.convolve(b, u)[: N + 1]
-
-
-@dataclass(frozen=True)
-class RenewalTable:
-    """Renewal probabilities of the pure (u) and equilibrium-delayed (nu) process."""
-
-    u: np.ndarray
-    nu: np.ndarray
-    mu: float
-    N: int
-
-
-def renewal_table(spec: LifetimeSpec, N: int = DEFAULT_HORIZON) -> RenewalTable:
-    return RenewalTable(u=renewal_probs(spec, N), nu=delayed_probs(spec, N), mu=spec.mean(), N=N)
 
 
 def acvf_renewal(spec: LifetimeSpec, M: int, hmax: int) -> np.ndarray:

@@ -68,10 +68,6 @@ def sample_lifetimes(spec: LifetimeSpec, n: int, rng: np.random.Generator) -> np
     return out
 
 
-def sample_lifetime(spec: LifetimeSpec, rng: np.random.Generator) -> int:
-    return int(sample_lifetimes(spec, 1, rng)[0])
-
-
 def sample_equilibrium_delays(spec: LifetimeSpec, n: int, rng: np.random.Generator) -> np.ndarray:
     """Draw n delays from b_j = P(L > j)/E[L]; beyond lag p the tail of b is
     geometric with ratio r and is sampled analytically."""
@@ -91,10 +87,6 @@ def sample_equilibrium_delays(spec: LifetimeSpec, n: int, rng: np.random.Generat
     return out
 
 
-def sample_equilibrium_delay(spec: LifetimeSpec, rng: np.random.Generator) -> int:
-    return int(sample_equilibrium_delays(spec, 1, rng)[0])
-
-
 def simulate_chain(spec: LifetimeSpec, steps: int, rng: np.random.Generator) -> np.ndarray:
     """One stationary renewal indicator chain X_0..X_{steps-1}.
 
@@ -103,7 +95,7 @@ def simulate_chain(spec: LifetimeSpec, steps: int, rng: np.random.Generator) -> 
     ``steps``.
     """
     bits = np.zeros(steps, dtype=np.uint8)
-    t = sample_equilibrium_delay(spec, rng)
+    t = int(sample_equilibrium_delays(spec, 1, rng)[0])
     if t >= steps:
         return bits
     bits[t] = 1

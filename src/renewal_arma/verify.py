@@ -21,7 +21,7 @@ from .arma import (
     closed_form_p2,
     factorize,
     gen_eval_arma,
-    phi_poly,
+    scale_constant,
     second_moment_limit,
     theta_poly,
     unit_circle_grid,
@@ -29,7 +29,7 @@ from .arma import (
 from .errors import RenewalArmaError
 from .lifetime import LifetimeSpec
 from .markov import conditional_probs_p2, joint_probs_p2, mgf_trivariate, step_pair_law
-from .polynomials import Poly, roots
+from .polynomials import Poly
 from .renewal import acvf_renewal, delayed_probs, gen_eval_renewal
 from .simulate import (
     SimConfig,
@@ -62,6 +62,12 @@ def _gate(name, measured, threshold, detail="", larger_is_better=False):
     ok = measured > threshold if larger_is_better else measured < threshold
     return GateResult(name=name, passed=bool(ok), measured=float(measured),
                       threshold=float(threshold), detail=detail)
+
+
+def _causal_gate(report) -> GateResult:
+    min_mod = min(report.ar_root_moduli + report.ma_root_moduli, default=math.inf)
+    return _gate("causal_invertible", min_mod, 1.0 + 1e-8,
+                 "min root modulus of AR and MA polynomials", larger_is_better=True)
 
 
 def batch_se(values: np.ndarray, n_batches: int = N_BATCHES) -> float:
@@ -109,8 +115,7 @@ def analytic_gates(spec: LifetimeSpec, M: int) -> list[GateResult]:
                      "|gamma_model(h) - gamma_renewal(h)|, h <= 50"))
 
     var_l = spec.variance()
-    th = theta_poly(model)
-    k_formula = var_l * pgf.den(1.0) ** 2 / (th(1.0) ** 2 * pgf.den.coeffs[0] ** 2)
+    k_formula = scale_constant(var_l, pgf.den, theta_poly(model))
     out.append(_gate("scale_constant_routes", abs(model.k - k_formula) / abs(k_formula), 1e-9,
                      "constant-term route vs variance formula"))
 
@@ -122,13 +127,9 @@ def analytic_gates(spec: LifetimeSpec, M: int) -> list[GateResult]:
                               f"expected AR order {spec.p}, MA order {max(spec.p - 1, 0)}"))
 
     report = check_causal_invertible(model)
-    min_mod = min(report.ar_root_moduli + report.ma_root_moduli, default=math.inf)
-    out.append(_gate("causal_invertible", min_mod, 1.0 + 1e-8,
-                     "min root modulus of AR and MA polynomials", larger_is_better=True))
-    ar_roots = roots(phi_poly(model)) if model.phi else []
-    ma_roots = roots(theta_poly(model)) if model.theta else []
-    gap = min((abs(a - b) for a in ar_roots for b in ma_roots), default=math.inf)
-    out.append(_gate("no_common_roots", gap, 1e-8, "min AR/MA root separation", larger_is_better=True))
+    out.append(_causal_gate(report))
+    out.append(_gate("no_common_roots", report.min_root_gap, 1e-8, "min AR/MA root separation",
+                     larger_is_better=True))
 
     if spec.p == 2:
         phi_cf, theta_cf, k_cf = closed_form_p2(spec.head[0], spec.head[1], spec.r)
@@ -280,11 +281,7 @@ def _markov_gates(spec: LifetimeSpec, M: int, seed: int, series) -> list[GateRes
 
 def verify_model(model, spec: LifetimeSpec | None = None, declared_sigma2: float | None = None) -> list[GateResult]:
     """Gates for a deserialized model: causality, invertibility, consistency."""
-    out = []
-    report = check_causal_invertible(model)
-    min_mod = min(report.ar_root_moduli + report.ma_root_moduli, default=math.inf)
-    out.append(_gate("causal_invertible", min_mod, 1.0 + 1e-8,
-                     "min root modulus of AR and MA polynomials", larger_is_better=True))
+    out = [_causal_gate(check_causal_invertible(model))]
     out.append(_gate("positive_constants", min(model.k, model.sigma2), 0.0,
                      "k and sigma2 must be positive", larger_is_better=True))
     sigma2 = declared_sigma2 if declared_sigma2 is not None else model.sigma2

@@ -130,8 +130,8 @@ class TestSimulate:
     def test_unwritable_path(self, capsys):
         code, _, err = run(capsys, "simulate", "--head", "0.5", "--r", "0.5", "--M", "1",
                            "--steps", "10", "--seed", "1", "--out", "/nonexistent-dir/x.csv")
-        assert code == 1
-        assert "io error" in err
+        assert code == 2
+        assert err.startswith("error: ")
 
 
 class TestVerify:
@@ -175,6 +175,20 @@ class TestVerify:
         assert code == 0
         assert "acvf_identity" in out2
 
+    def test_malformed_model_file(self, capsys, tmp_path):
+        model_path = tmp_path / "model.json"
+        model_path.write_text("not json")
+        code, _, err = run(capsys, "verify", "--model", str(model_path))
+        assert code == 3
+        assert err.startswith("error: malformed model JSON")
+
+    @pytest.mark.parametrize("flag", ["--model", "--json-out"])
+    def test_path_errors_exit_2(self, capsys, flag):
+        args = ["verify", "--head", "0.5", "--r", "0.5", flag, "/nonexistent-dir/x.json"]
+        code, _, err = run(capsys, *args)
+        assert code == 2
+        assert err.startswith("error: ")
+
     def test_requires_some_input(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["verify"])
@@ -217,6 +231,22 @@ class TestConfigFile:
         code, out, _ = run(capsys, "factorize", "--config", str(conf), "--M", "2")
         assert code == 0
         assert json.loads(out)["model"]["M"] == 2
+
+    def test_values_typed_like_flags(self, capsys, tmp_path):
+        conf = tmp_path / "conf.json"
+        conf.write_text(json.dumps({"head": "0.2,0.3", "r": "0.6", "M": "5"}))
+        code, out, _ = run(capsys, "factorize", "--config", str(conf))
+        assert code == 0
+        assert json.loads(out)["model"]["M"] == 5
+
+    @pytest.mark.parametrize("bad", [{"M": "x"}, {"M": 5.5}, {"r": "x"}, {"head": "0.2;0.3"},
+                                     {"allow-zero-f1": "yes"}])
+    def test_bad_value_rejected(self, capsys, tmp_path, bad):
+        conf = tmp_path / "conf.json"
+        conf.write_text(json.dumps({"head": [0.2, 0.3], "r": 0.6, **bad}))
+        with pytest.raises(SystemExit) as exc:
+            main(["factorize", "--config", str(conf)])
+        assert exc.value.code == 2
 
     def test_unknown_key_rejected(self, capsys, tmp_path):
         conf = tmp_path / "conf.json"

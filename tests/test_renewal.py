@@ -10,7 +10,6 @@ from renewal_arma import (
     gen_eval_renewal,
     make_constant_hazard,
     renewal_probs,
-    renewal_table,
 )
 from conftest import make_battery
 
@@ -58,15 +57,12 @@ class TestDelayedProbs:
         for _, spec in small_battery:
             assert spec.equilibrium_pmf(0) == pytest.approx(1.0 / spec.mean())
 
-
-class TestRenewalTable:
-    def test_fields(self, p2_spec):
-        table = renewal_table(p2_spec, 64)
-        assert table.N == 64
-        assert table.mu == pytest.approx(3.05)
-        assert table.u[0] == 1.0
-        assert len(table.nu) == 65
-        assert np.all((table.u >= 0) & (table.u <= 1))
+    def test_shapes_and_range(self, p2_spec):
+        u, nu = renewal_probs(p2_spec, 64), delayed_probs(p2_spec, 64)
+        assert p2_spec.mean() == pytest.approx(3.05)
+        assert u[0] == 1.0
+        assert len(u) == len(nu) == 65
+        assert np.all((u >= 0) & (u <= 1))
 
 
 class TestAcvf:
