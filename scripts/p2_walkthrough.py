@@ -66,8 +66,8 @@ def main():
     joint = joint_probs_p2(spec)
     cond = conditional_probs_p2(spec)
     print("\nsecond-order structure of one indicator chain:")
-    print(f"  joint (X_t, X_t-1, X_t-2):  q={joint.q:.6f}  p1={joint.p1:.6f}  "
-          f"p12={joint.p12:.6f}  p123={joint.p123:.6f}")
+    print("  joint (X_t, X_t-1, X_t-2):  "
+          + "  ".join(f"{k}={joint[k]:.6f}" for k in ("q", "p1", "p12", "p123")))
     print("  conditionals: " + "  ".join(f"{k}={v:.4f}" for k, v in cond.items() if k.startswith("p1")))
 
     mean = series.values.mean()

@@ -40,12 +40,15 @@ from .lifetime import (
 )
 from .markov import (
     OrderComparison,
-    TriJointTable,
+    age_chain,
     conditional_probs_p2,
+    context_hazards,
     joint_probs_p2,
     markov_order_test,
     mgf_trivariate,
     step_pair_law,
+    window_law,
+    window_marginals,
 )
 from .polynomials import (
     Poly,
@@ -67,7 +70,7 @@ from .simulate import (
     CountSeries,
     SimConfig,
     chain_rng,
-    empirical_conditionals,
+    context_frequencies,
     sample_acvf,
     simulate_chain,
     simulate_counts,
@@ -82,11 +85,12 @@ __all__ = [
     "SingularEvaluationError", "ValidationError",
     "LifetimeSpec", "RationalPGF", "make_constant_hazard", "make_rational_pgf",
     "spec_from_dict", "spec_to_dict",
-    "OrderComparison", "TriJointTable", "conditional_probs_p2", "joint_probs_p2",
-    "markov_order_test", "mgf_trivariate", "step_pair_law",
+    "OrderComparison", "age_chain", "conditional_probs_p2", "context_hazards",
+    "joint_probs_p2", "markov_order_test", "mgf_trivariate", "step_pair_law",
+    "window_law", "window_marginals",
     "Poly", "SymLaurent", "deflate_at_one", "divide_sym_by_unit_pair",
     "factor_outside", "roots", "sym_product_diff",
     "acvf_renewal", "delayed_probs", "gen_eval_renewal", "renewal_probs",
     "ContextStats", "CountSeries", "SimConfig", "chain_rng",
-    "empirical_conditionals", "sample_acvf", "simulate_chain", "simulate_counts",
+    "context_frequencies", "sample_acvf", "simulate_chain", "simulate_counts",
 ]

@@ -32,7 +32,7 @@ from .arma import (
 )
 from .errors import FactorizationError, RenewalArmaError, ValidationError
 from .lifetime import make_constant_hazard, make_rational_pgf, spec_to_dict
-from .markov import conditional_probs_p2, joint_probs_p2, mgf_trivariate
+from .markov import conditional_probs_p2, joint_probs_p2, mgf_trivariate, window_law
 from .polynomials import Poly
 from .simulate import SimConfig, simulate_counts
 from .verify import report_to_dict, verify_model, verify_spec
@@ -292,18 +292,17 @@ def cmd_markov(parser, args) -> int:
     spec = _build_spec(args)
     if spec.p != 2:
         raise ValidationError("markov tables are available for two-term heads only")
-    joint = joint_probs_p2(spec)
-    cond = conditional_probs_p2(spec)
+    law = window_law(spec, 3)
     evals = []
     for text in args.mgf or []:
         s = _csv_floats(text)
         if len(s) != 3:
             parser.error(f"--mgf needs three exponents, got {text!r}")
-        evals.append({"s": s, "M": M, "value": mgf_trivariate(joint, M, *s)})
+        evals.append({"s": s, "M": M, "value": mgf_trivariate(law, M, *s)})
     _emit({
         "schema_version": 1,
-        "joint": joint.as_dict(),
-        "conditional": cond,
+        "joint": joint_probs_p2(spec),
+        "conditional": conditional_probs_p2(spec),
         "mgf": evals,
         "manifest": _stdout_manifest("markov", {
             "spec": spec_to_dict(spec), "M": M,

@@ -97,20 +97,17 @@ class LifetimeSpec:
             raise ValueError("delays are nonnegative integers")
         return self.survival(n) / self.mean()
 
-    def pgf_polys(self) -> tuple[Poly, Poly]:
-        """Numerator and denominator of the probability generating function.
+    def pgf(self) -> "RationalPGF":
+        """Probability generating function ``F(z) = num(z) / den(z)``.
 
         Numerator ``z * [f_1 + (f_2 - f_1 r) z + ... + (f_{p+1} - f_p r) z**p]``
-        over denominator ``1 - r z``.  The pair is coprime because the
-        numerator does not vanish at ``1/r``.
+        over denominator ``1 - r z``.  The pair needs no validation: it is in
+        lowest terms because the numerator does not vanish at ``1/r``, and its
+        series is the pmf, which is nonnegative.
         """
         f = list(self.head) + [self.tail_first]
         num = [0.0, f[0]] + [f[i] - f[i - 1] * self.r for i in range(1, len(f))]
-        return Poly(tuple(num)), Poly((1.0, -self.r))
-
-    def pgf(self) -> "RationalPGF":
-        """Probability generating function as a validated ratio of polynomials."""
-        return make_rational_pgf(*self.pgf_polys())
+        return RationalPGF(num=Poly(tuple(num)), den=Poly((1.0, -self.r)))
 
 
 def make_constant_hazard(head, r: float, *, allow_zero_f1: bool = False) -> LifetimeSpec:

@@ -1,9 +1,23 @@
-"""Second-order Markov structure of count series from two-term-head lifetimes.
+"""Markov structure of renewal indicator chains and their superposition.
 
-For a lifetime with two explicit head probabilities the indicator chain is a
-second-order Markov chain; its trivariate law over (X_t, X_{t-1}, X_{t-2}) and
-the implied conditionals are available in closed form, and the superposed
-count series has a trivariate binomial law.  ``markov_order_test`` checks the
+Past lag p the lifetime has the constant hazard 1 - r, so one indicator chain
+is a finite Markov chain on its *capped age* a in {0, .., p}: the time since
+the last renewal, with every age from p on lumped into the last state
+(Feller 1968, vol. 1, ch. XIII).  From age a the chain renews at the next
+step with the hazard
+
+    h[a] = f_{a+1} / P(L > a)  for a < p,        h[p] = 1 - r,
+
+and moves to age 0; otherwise it moves to age min(a + 1, p).  Its stationary
+law P(L > a)/E[L], with the last state holding the whole tail, is the
+equilibrium-delay law of the lifetime.  Hence X_t is Markov of order p: a
+context (x_{t-1}, .., x_{t-k}) with k >= p fixes the capped age, and the
+conditional renewal probability is that age's hazard.
+
+:func:`age_chain` builds the chain, :func:`window_law` steps it to the exact
+law of any window of bits, and :func:`context_hazards` gives the conditionals.
+Windows and contexts are coded as integers with x_t in bit 0, x_{t-1} in bit
+1, and so on (contexts start at x_{t-1}).  ``markov_order_test`` checks the
 order claim empirically on simulated bits.
 """
 
@@ -18,55 +32,61 @@ from .errors import ValidationError
 from .lifetime import LifetimeSpec
 from .simulate import context_frequencies
 
-# index convention: 1 <-> time t, 2 <-> t-1, 3 <-> t-2
 
+def age_chain(spec: LifetimeSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Hazards ``h[0..p]`` and stationary law ``pi[0..p]`` of the capped-age chain.
 
-@dataclass(frozen=True)
-class TriJointTable:
-    """Joint law of (X_t, X_{t-1}, X_{t-2}) for one indicator chain.
-
-    ``p_ij...`` is the probability that exactly the indexed coordinates are 1;
-    ``q`` is the all-zero cell.
+    An age a < p with P(L > a) = 0 is never reached; its hazard is set to 1.
     """
+    p, mu = spec.p, spec.mean()
+    alive = np.array([spec.survival(a) for a in range(p + 1)])
+    hazard = np.ones(p + 1)
+    np.divide(spec.head, alive[:p], out=hazard[:p], where=alive[:p] > 0.0)
+    hazard[p] = 1.0 - spec.r
+    stationary = alive / mu
+    stationary[p] /= 1.0 - spec.r  # P(L > a) is geometric in a >= p
+    return hazard, stationary
 
-    q: float
-    p1: float
-    p2: float
-    p3: float
-    p12: float
-    p13: float
-    p23: float
-    p123: float
 
-    def as_dict(self) -> dict:
-        return {
-            "q": self.q, "p1": self.p1, "p2": self.p2, "p3": self.p3,
-            "p12": self.p12, "p13": self.p13, "p23": self.p23, "p123": self.p123,
-        }
+def window_law(spec: LifetimeSpec, w: int) -> np.ndarray:
+    """Stationary law of the window (X_t, .., X_{t-w+1}) of one chain.
 
-    def total(self) -> float:
-        return math.fsum(self.as_dict().values())
+    Entry c is the probability of the window whose bits are
+    x_t + 2 x_{t-1} + 4 x_{t-2} + ...; the 2**w entries sum to 1.
+    """
+    hazard, law = age_chain(spec)
+    law = law[:, None]  # law[a, c]: the chain is at age a and the window so far reads c
+    for _ in range(w):
+        renew, stay = hazard[:, None] * law, (1.0 - hazard)[:, None] * law
+        law = np.zeros((len(hazard), 2 * law.shape[1]))
+        law[0, 1::2] = renew.sum(axis=0)  # the new bit enters at the bottom
+        law[1:, 0::2] = stay[:-1]
+        law[-1, 0::2] += stay[-1]
+    return law.sum(axis=0)
 
-    def marginals(self) -> tuple[float, float, float]:
-        """P(X_t = 1), P(X_{t-1} = 1), P(X_{t-2} = 1); all equal 1/E[L]."""
-        return (
-            self.p1 + self.p12 + self.p13 + self.p123,
-            self.p2 + self.p12 + self.p23 + self.p123,
-            self.p3 + self.p13 + self.p23 + self.p123,
-        )
 
-    def cell(self, x_t: int, x_tm1: int, x_tm2: int) -> float:
-        key = "".join(str(i + 1) for i, x in enumerate((x_t, x_tm1, x_tm2)) if x)
-        return self.as_dict()["p" + key if key else "q"]
+def context_hazards(spec: LifetimeSpec, k: int) -> np.ndarray:
+    """P(X_t = 1 | context c) for every context of length k >= p.
 
-    def pair_law(self) -> dict[tuple[int, int], float]:
-        """Stationary law of (X_{t-1}, X_{t-2})."""
-        return {
-            (0, 0): self.q + self.p1,
-            (1, 0): self.p2 + self.p12,
-            (0, 1): self.p3 + self.p13,
-            (1, 1): self.p23 + self.p123,
-        }
+    Context c codes x_{t-1} + 2 x_{t-2} + ...; its capped age is the position
+    of its lowest set bit, or p when the last p bits are all zero.
+    """
+    p = spec.p
+    if k < p:
+        raise ValueError(f"a context shorter than p = {p} does not fix the capped age")
+    hazard, _ = age_chain(spec)
+    codes = np.arange(2 ** k)
+    age = np.full(2 ** k, p)
+    for j in reversed(range(p)):
+        age[(codes >> j) & 1 == 1] = j
+    return hazard[age]
+
+
+def window_marginals(law: np.ndarray) -> np.ndarray:
+    """P(X_{t-j} = 1) for each position j of a window law; all equal 1/E[L]."""
+    w = len(law).bit_length() - 1
+    codes = np.arange(len(law))
+    return np.array([law[(codes >> j) & 1 == 1].sum() for j in range(w)])
 
 
 def _require_p2(spec: LifetimeSpec) -> None:
@@ -74,73 +94,55 @@ def _require_p2(spec: LifetimeSpec) -> None:
         raise ValidationError("second-order tables require a head of exactly two probabilities")
 
 
-def joint_probs_p2(spec: LifetimeSpec) -> TriJointTable:
-    """Closed-form trivariate table for a two-term-head lifetime."""
+def joint_probs_p2(spec: LifetimeSpec) -> dict[str, float]:
+    """The three-bit window law keyed as the ``markov`` command emits it.
+
+    ``q`` is the all-zero cell and ``p`` followed by indices names the bits
+    that are 1, with 1 <-> X_t, 2 <-> X_{t-1}, 3 <-> X_{t-2}: ``p13`` is
+    P(X_t = 1, X_{t-1} = 0, X_{t-2} = 1).
+    """
     _require_p2(spec)
-    f1, f2 = spec.head
-    inv = 1.0 / spec.mean()
-    p1 = p3 = inv * (1.0 - f1 - f2)
-    p13 = inv * f2
-    p12 = p23 = inv * f1 * (1.0 - f1)
-    p123 = inv * f1 * f1
-    p2 = inv * (1.0 - f1) ** 2
-    q = 1.0 - math.fsum((p1, p2, p3, p12, p13, p23, p123))
-    return TriJointTable(q=q, p1=p1, p2=p2, p3=p3, p12=p12, p13=p13, p23=p23, p123=p123)
+    keys = ["p" + "".join(str(j + 1) for j in range(3) if c >> j & 1) for c in range(8)]
+    keys[0] = "q"
+    return dict(zip(keys, window_law(spec, 3).tolist()))
 
 
 def conditional_probs_p2(spec: LifetimeSpec) -> dict[str, float]:
     """The eight conditionals P(X_t = x | X_{t-1} = a, X_{t-2} = b).
 
-    Keys read ``pxgab``: ``p1g00`` is P(X_t=1 | 0, 0) and so on.  The
-    simplified value p0g00 = r is cross-checked against the ratio of joint
-    masses before returning.
+    Keys read ``pxgab``: ``p1g00`` is P(X_t=1 | 0, 0) = 1 - r, ``p1g01`` is
+    f2 / (1 - f1), and ``p1g10`` = ``p1g11`` is f1.
     """
     _require_p2(spec)
-    f1, f2 = spec.head
-    r = spec.r
-    p1g00 = 1.0 - r
-    p1g01 = f2 / (1.0 - f1)
-    p1g10 = f1
-    p1g11 = f1
-    table = {
-        "p1g00": p1g00, "p1g01": p1g01, "p1g10": p1g10, "p1g11": p1g11,
-        "p0g00": 1.0 - p1g00, "p0g01": 1.0 - p1g01, "p0g10": 1.0 - p1g10, "p0g11": 1.0 - p1g11,
-    }
-    joint = joint_probs_p2(spec)
-    inv = 1.0 / spec.mean()
-    long_form = joint.q / (1.0 - 2.0 * inv + f1 * inv)
-    if not abs(long_form - r) < 1e-10:
-        raise ValidationError("conditional table failed its internal consistency check")
+    ones = context_hazards(spec, 2).tolist()
+    pairs = [(a, b) for a in (0, 1) for b in (0, 1)]
+    table = {f"p1g{a}{b}": ones[a + 2 * b] for a, b in pairs}
+    table.update({f"p0g{a}{b}": 1.0 - ones[a + 2 * b] for a, b in pairs})
     return table
 
 
-def step_pair_law(pair: dict[tuple[int, int], float], conditionals: dict[str, float]) -> dict:
-    """Push the stationary pair law one step through the conditional kernel.
+def step_pair_law(law: np.ndarray, hazards: np.ndarray) -> np.ndarray:
+    """Push the law of a k-bit context through the order-k conditional kernel.
 
-    The image is the law of (X_t, X_{t-1}); under stationarity it must equal
-    the input law.
+    ``law`` is indexed by context code (x_{t-1} in bit 0) and ``hazards`` by
+    the same code.  The image is the law of the window one step later; under
+    stationarity it equals the input law.
     """
-    out = {(0, 0): 0.0, (0, 1): 0.0, (1, 0): 0.0, (1, 1): 0.0}
-    for (a, b), mass in pair.items():
-        for x in (0, 1):
-            out[(x, a)] += mass * conditionals[f"p{x}g{a}{b}"]
-    return out
+    window = np.empty(2 * len(law))
+    window[0::2] = law * (1.0 - hazards)
+    window[1::2] = law * hazards
+    return window.reshape(2, -1).sum(axis=0)  # drop the oldest bit
 
 
-def mgf_trivariate(table: TriJointTable, M: int, s1: float, s2: float, s3: float) -> float:
+def mgf_trivariate(law: np.ndarray, M: int, s1: float, s2: float, s3: float) -> float:
     """Moment generating function E[exp(s1 Y_t + s2 Y_{t-1} + s3 Y_{t-2})].
 
-    One chain contributes the bracketed mixture; superposing M independent
-    chains raises it to the M-th power.
+    ``law`` is the three-bit window law of one chain, which contributes the
+    mixture sum_c law[c] * prod_{j: bit j of c} exp(s_{j+1}); superposing M
+    independent chains raises it to the M-th power.
     """
-    e1, e2, e3 = math.exp(s1), math.exp(s2), math.exp(s3)
-    base = (
-        table.q
-        + table.p1 * e1 + table.p2 * e2 + table.p3 * e3
-        + table.p12 * e1 * e2 + table.p13 * e1 * e3 + table.p23 * e2 * e3
-        + table.p123 * e1 * e2 * e3
-    )
-    return base ** M
+    bits = (np.arange(8)[:, None] >> np.arange(3)) & 1
+    return math.fsum(law * np.where(bits, np.exp([s1, s2, s3]), 1.0).prod(axis=1)) ** M
 
 
 @dataclass(frozen=True)

@@ -22,8 +22,8 @@ def renewal_probs(spec: LifetimeSpec, N: int) -> np.ndarray:
     """
     if N < 0:
         raise ValueError("horizon must be nonnegative")
-    num, den = spec.pgf_polys()
-    return rational_series(den, den - num, N + 1)
+    pgf = spec.pgf()
+    return rational_series(pgf.den, pgf.den - pgf.num, N + 1)
 
 
 def delayed_probs(spec: LifetimeSpec, N: int) -> np.ndarray:

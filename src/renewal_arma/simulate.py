@@ -46,45 +46,38 @@ def chain_rng(seed: int, chain: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=(chain,))))
 
 
-def sample_lifetimes(spec: LifetimeSpec, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw n lifetimes: inverse CDF over the head, analytic geometric tail.
+def _sample_head_tail(head, r: float, n: int, rng: np.random.Generator, finite: bool) -> np.ndarray:
+    """Draw n values k >= 0 with P(k) = head[k] below len(head) and a geometric tail of ratio r.
 
-    A uniform u falling past the head mass is mapped to
-    ``p + 1 + floor(log(residual) / log(r))`` with
+    A uniform u past the head mass lands at
+    ``len(head) + floor(log(residual) / log(r))`` with
     ``residual = (1 - u) / tail mass``, which is exact (never truncated).
+    With ``finite`` the head carries all mass, and a draw that rounding in
+    the last cdf entry leaks past it is clamped back.
     """
     u = rng.random(n)
-    p = spec.p
-    head_cdf = np.cumsum(spec.head) if p else np.empty(0)
-    out = np.searchsorted(head_cdf, u, side="right").astype(np.int64) + 1
-    if spec.tail_first == 0.0:
-        # all mass in the head; rounding in head_cdf[-1] could leak a draw past it
-        return np.minimum(out, p)
-    in_tail = out == p + 1
-    if spec.r > 0.0 and in_tail.any():
-        head_mass = head_cdf[-1] if p else 0.0
-        residual = (1.0 - u[in_tail]) / (1.0 - head_mass)
-        out[in_tail] += np.floor(np.log(residual) / math.log(spec.r)).astype(np.int64)
+    cdf = np.cumsum(head)
+    out = np.searchsorted(cdf, u, side="right").astype(np.int64)
+    if finite:
+        return np.minimum(out, len(cdf) - 1)
+    in_tail = out == len(cdf)
+    if r > 0.0 and in_tail.any():
+        residual = (1.0 - u[in_tail]) / (1.0 - (cdf[-1] if len(cdf) else 0.0))
+        out[in_tail] += np.floor(np.log(residual) / math.log(r)).astype(np.int64)
     return out
+
+
+def sample_lifetimes(spec: LifetimeSpec, n: int, rng: np.random.Generator) -> np.ndarray:
+    """Draw n lifetimes: inverse CDF over f_1..f_p, analytic geometric tail from p + 1."""
+    return _sample_head_tail(spec.head, spec.r, n, rng, spec.tail_first == 0.0) + 1
 
 
 def sample_equilibrium_delays(spec: LifetimeSpec, n: int, rng: np.random.Generator) -> np.ndarray:
     """Draw n delays from b_j = P(L > j)/E[L]; beyond lag p the tail of b is
     geometric with ratio r and is sampled analytically."""
     mu = spec.mean()
-    p = spec.p
-    b_head = np.array([spec.survival(j) / mu for j in range(p + 1)])
-    cdf = np.cumsum(b_head)
-    u = rng.random(n)
-    out = np.searchsorted(cdf, u, side="right").astype(np.int64)
-    if spec.r == 0.0:
-        # the head carries all mass; rounding in cdf[-1] could leak a draw past it
-        return np.minimum(out, p)
-    in_tail = out == p + 1
-    if in_tail.any():
-        residual = (1.0 - u[in_tail]) / (1.0 - cdf[-1])
-        out[in_tail] += np.floor(np.log(residual) / math.log(spec.r)).astype(np.int64)
-    return out
+    b_head = [spec.survival(j) / mu for j in range(spec.p + 1)]
+    return _sample_head_tail(b_head, spec.r, n, rng, spec.r == 0.0)
 
 
 def simulate_chain(spec: LifetimeSpec, steps: int, rng: np.random.Generator) -> np.ndarray:
@@ -179,14 +172,3 @@ def context_frequencies(bits, order: int, t_start: int | None = None, min_count:
             context=ctx, count=int(counts[c]), ones=int(ones[c]), sparse=counts[c] < min_count
         )
     return table
-
-
-def empirical_conditionals(bits, order: int, min_count: int = 1000):
-    """Conditional one-frequency for every context of length ``order`` (1..3).
-
-    Contexts observed fewer than ``min_count`` times are flagged sparse, not
-    dropped.
-    """
-    if order not in (1, 2, 3):
-        raise ValueError("order must be 1, 2, or 3")
-    return context_frequencies(bits, order, min_count=min_count)

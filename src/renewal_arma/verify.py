@@ -5,6 +5,12 @@ routes to the scale constant, degree law, causality, stationarity, moment and
 series cross-checks).  ``full`` adds seeded Monte-Carlo gates: marginal
 moments, sample autocovariance, a chi-square test of the binomial marginal,
 and for two-term heads the joint/conditional/moment comparisons.
+
+The Markov gates read their targets from the capped-age chain of
+:mod:`.markov`: the three-bit window law (cells coded x_t + 2 x_{t-1} +
+4 x_{t-2}, the code the simulated triples are binned by) and the context
+hazards.  They stay restricted to two-term heads, the window the ``markov``
+command reports.
 """
 
 from __future__ import annotations
@@ -28,7 +34,7 @@ from .arma import (
 )
 from .errors import RenewalArmaError
 from .lifetime import LifetimeSpec
-from .markov import conditional_probs_p2, joint_probs_p2, mgf_trivariate, step_pair_law
+from .markov import context_hazards, mgf_trivariate, step_pair_law, window_law, window_marginals
 from .polynomials import Poly
 from .renewal import acvf_renewal, delayed_probs, gen_eval_renewal
 from .simulate import (
@@ -161,13 +167,13 @@ def analytic_gates(spec: LifetimeSpec, M: int) -> list[GateResult]:
                      "closed form vs quotient rule"))
 
     if spec.p == 2:
-        joint = joint_probs_p2(spec)
-        out.append(_gate("joint_table_total", abs(joint.total() - 1.0), 1e-12, "eight cells sum to 1"))
-        out.append(_gate("joint_table_marginals", max(abs(m - 1.0 / mu) for m in joint.marginals()),
+        law = window_law(spec, 3)
+        out.append(_gate("joint_table_total", abs(math.fsum(law) - 1.0), 1e-12, "eight cells sum to 1"))
+        out.append(_gate("joint_table_marginals", np.max(np.abs(window_marginals(law) - 1.0 / mu)),
                          1e-12, "each marginal equals 1/mu"))
-        cond = conditional_probs_p2(spec)
-        stepped = step_pair_law(joint.pair_law(), cond)
-        out.append(_gate("pair_law_fixed_point", max(abs(stepped[k] - joint.pair_law()[k]) for k in stepped),
+        pair = law.reshape(4, 2).sum(axis=1)  # law of (X_{t-1}, X_{t-2})
+        stepped = step_pair_law(pair, context_hazards(spec, 2))
+        out.append(_gate("pair_law_fixed_point", np.max(np.abs(stepped - pair)),
                          1e-12, "one kernel step preserves the stationary pair law"))
     return out
 
@@ -240,7 +246,7 @@ def _markov_gates(spec: LifetimeSpec, M: int, seed: int, series) -> list[GateRes
     out = []
     # one long indicator chain on a stream index the superposition never uses
     bits = simulate_chain(spec, FULL_STEPS, chain_rng(seed, M))
-    joint = joint_probs_p2(spec)
+    law = window_law(spec, 3)
 
     b = np.asarray(bits, dtype=np.int64)
     triples = b[2:] + 2 * b[1:-1] + 4 * b[:-2]  # x_t + 2 x_{t-1} + 4 x_{t-2}
@@ -249,21 +255,19 @@ def _markov_gates(spec: LifetimeSpec, M: int, seed: int, series) -> list[GateRes
     freqs = np.array([np.bincount(triples[i * batch : (i + 1) * batch], minlength=8) / batch
                       for i in range(N_BATCHES)])
     worst = 0.0
-    for code in range(8):
-        x_t, x_1, x_2 = code & 1, (code >> 1) & 1, (code >> 2) & 1
-        target = joint.cell(x_t, x_1, x_2)
+    for code, target in enumerate(law):
         est = freqs[:, code].mean()
         se = freqs[:, code].std(ddof=1) / math.sqrt(N_BATCHES)
         worst = max(worst, abs(est - target) / (3 * se))
     out.append(_gate("mc_joint_triples", worst, 1.0, "max cell error / (3*SE)"))
 
-    cond = conditional_probs_p2(spec)
+    hazards = context_hazards(spec, 2)
     table = context_frequencies(bits, 2)
     worst = 0.0
     for (a, bb), st in table.items():
         if st.sparse:
             continue
-        target = cond[f"p1g{a}{bb}"]
+        target = hazards[a + 2 * bb]
         se = math.sqrt(max(st.freq * (1 - st.freq), 1e-12) / st.count)
         worst = max(worst, abs(st.freq - target) / (3 * se))
     out.append(_gate("mc_conditionals", worst, 1.0, "max context error / (3*SE)"))
@@ -272,7 +276,7 @@ def _markov_gates(spec: LifetimeSpec, M: int, seed: int, series) -> list[GateRes
     worst = 0.0
     for s in ((0.1, 0.2, 0.3), (0.2, 0.0, 0.1), (-0.1, 0.1, -0.2)):
         samples = np.exp(s[0] * y[2:] + s[1] * y[1:-1] + s[2] * y[:-2])
-        target = mgf_trivariate(joint, M, *s)
+        target = mgf_trivariate(law, M, *s)
         se = batch_se(samples)
         worst = max(worst, abs(samples.mean() - target) / (3 * se))
     out.append(_gate("mc_trivariate_mgf", worst, 1.0, "max MGF error / (3*SE) at three points"))

@@ -42,6 +42,17 @@ def make_battery(seed: int, per_p: int, ps=(1, 2, 3, 4, 5)):
     return [(p, random_spec(rng, p)) for p in ps for _ in range(per_p)]
 
 
+def dirichlet_specs(seed, ps=(1, 2, 3, 5, 10, 20, 30), per_p=2):
+    """Heads drawn as Dirichlet weights, which reach the small high-order terms of p up to 30."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for p in ps:
+        for _ in range(per_p):
+            w = rng.dirichlet(np.ones(p + 1))
+            out.append(make_constant_hazard(w[:p] * rng.uniform(0.5, 0.95), rng.uniform(0.2, 0.9)))
+    return out
+
+
 @pytest.fixture(scope="session")
 def small_battery():
     """Quick cross-module battery: 10 specs per head length."""

@@ -18,12 +18,11 @@ from renewal_arma import (
     chain_rng,
     closed_form_p2,
     conditional_probs_p2,
+    context_frequencies,
     delayed_probs,
-    empirical_conditionals,
     factorize,
     gen_eval_arma,
     gen_eval_renewal,
-    joint_probs_p2,
     make_constant_hazard,
     markov_order_test,
     mgf_trivariate,
@@ -32,6 +31,7 @@ from renewal_arma import (
     simulate_chain,
     simulate_counts,
     unit_circle_grid,
+    window_law,
 )
 from renewal_arma.arma import phi_poly, theta_poly
 from renewal_arma.polynomials import roots
@@ -216,7 +216,7 @@ def test_c10_binomial_marginal(battery):
 def test_c11_second_order_markov(p2_series):
     t0 = time.perf_counter()
     spec = p2_series.config.spec
-    joint = joint_probs_p2(spec)
+    law = window_law(spec, 3)
     cond = conditional_probs_p2(spec)
 
     bits = np.asarray(simulate_chain(spec, 10 ** 6, chain_rng(MC_SEED, 5)), dtype=np.int64)
@@ -225,12 +225,11 @@ def test_c11_second_order_markov(p2_series):
     freqs = np.array([np.bincount(codes[i * batch:(i + 1) * batch], minlength=8) / batch
                       for i in range(30)])
     worst_joint = 0.0
-    for code in range(8):
-        want = joint.cell(code & 1, (code >> 1) & 1, (code >> 2) & 1)
+    for code, want in enumerate(law):
         se = freqs[:, code].std(ddof=1) / math.sqrt(30)
         worst_joint = max(worst_joint, abs(freqs[:, code].mean() - want) / (3 * se))
 
-    table = empirical_conditionals(bits, 2)
+    table = context_frequencies(bits, 2)
     worst_cond = 0.0
     for (a, b), st in table.items():
         want = cond[f"p1g{a}{b}"]
@@ -245,7 +244,7 @@ def test_c11_second_order_markov(p2_series):
     worst_mgf = 0.0
     for s in ((0.1, 0.2, 0.3), (0.2, 0.0, 0.1), (-0.1, 0.1, -0.2)):
         samples = np.exp(s[0] * y[2:] + s[1] * y[1:-1] + s[2] * y[:-2])
-        want = mgf_trivariate(joint, 5, *s)
+        want = mgf_trivariate(law, 5, *s)
         se = batch_se(samples)
         worst_mgf = max(worst_mgf, abs(samples.mean() - want) / (3 * se))
 

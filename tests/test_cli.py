@@ -59,6 +59,12 @@ class TestFactorize:
         assert code == 3
         assert err
 
+    def test_nearly_cancelling_pole_exit_code(self, capsys):
+        # a tail mass of 1e-13 leaves an AR root within 4e-13 of an MA root
+        code, _, err = run(capsys, "factorize", "--head", "0.5,0.4999999999999", "--r", "0.5")
+        assert code == 4
+        assert "share the root" in err
+
     def test_raw_pgf_input(self, capsys):
         code, out, _ = run(capsys, "factorize", "--pgf-num", "0,0.5", "--pgf-den", "1,-0.5")
         assert code == 0

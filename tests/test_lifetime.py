@@ -163,6 +163,13 @@ class TestPgf:
         assert pgf.num.coeffs == pytest.approx((0.0, 0.9, 0.1))
         assert pgf.den.coeffs == (1.0,)
 
+    def test_tiny_tail_mass(self):
+        # tail mass 1e-13: the pair is coprime by construction, but a
+        # resultant test on it reads as a shared factor
+        spec = make_constant_hazard([0.5, 0.5 - 1e-13], 0.5)
+        coeffs = spec.pgf().series(50)
+        assert all(coeffs[n] == spec.pmf(n) for n in range(1, 50))
+
     @given(specs())
     @settings(max_examples=60, deadline=None)
     def test_series_matches_pmf(self, spec):

@@ -8,7 +8,8 @@ MA(infinity) recurrence.
 import numpy as np
 import pytest
 
-from renewal_arma import arma_acvf, factorize, make_constant_hazard, renewal_probs
+from conftest import dirichlet_specs
+from renewal_arma import arma_acvf, factorize, renewal_probs
 from renewal_arma.polynomials import Poly, deflate_at_one, rational_series
 
 N = 2000
@@ -38,17 +39,6 @@ def psi_recursion(phi, theta, length):
     return psi
 
 
-def dirichlet_specs(seed, ps=(1, 2, 3, 5, 10, 20, 30), per_p=2):
-    """Heads drawn as Dirichlet weights, which reach the small high-order terms of p up to 30."""
-    rng = np.random.default_rng(seed)
-    out = []
-    for p in ps:
-        for _ in range(per_p):
-            w = rng.dirichlet(np.ones(p + 1))
-            out.append(make_constant_hazard(w[:p] * rng.uniform(0.5, 0.95), rng.uniform(0.2, 0.9)))
-    return out
-
-
 @pytest.fixture(scope="module")
 def specs(small_battery):
     return [spec for _, spec in small_battery] + dirichlet_specs(2024)
@@ -56,9 +46,9 @@ def specs(small_battery):
 
 def arma_pair(spec):
     """A causal (phi, theta) pair of the spec: the deflated AR part over the pgf numerator."""
-    num, den = spec.pgf_polys()
-    ar = deflate_at_one(den - num)
-    ma = num.coeffs[1:]
+    pgf = spec.pgf()
+    ar = deflate_at_one(pgf.den - pgf.num)
+    ma = pgf.num.coeffs[1:]
     return tuple(-c / ar.coeffs[0] for c in ar.coeffs[1:]), tuple(c / ma[0] for c in ma[1:])
 
 

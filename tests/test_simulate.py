@@ -8,7 +8,7 @@ from renewal_arma import (
     SimConfig,
     acvf_renewal,
     chain_rng,
-    empirical_conditionals,
+    context_frequencies,
     make_constant_hazard,
     sample_acvf,
     simulate_chain,
@@ -91,7 +91,7 @@ class TestSimulateChain:
 
     def test_conditional_renewal_rate(self, p2_spec):
         bits = simulate_chain(p2_spec, 10 ** 6, chain_rng(12, 0))
-        table = empirical_conditionals(bits, 2)
+        table = context_frequencies(bits, 2)
         stats = table[(0, 0)]
         se = math.sqrt(stats.freq * (1 - stats.freq) / stats.count)
         assert abs(stats.freq - 0.4) <= 3 * se  # 1 - r
@@ -177,23 +177,19 @@ class TestSampleAcvf:
 class TestEmpiricalConditionals:
     def test_iid_bits_flat(self, geometric_spec):
         bits = simulate_chain(geometric_spec, 400000, chain_rng(30, 0))
-        table = empirical_conditionals(bits, 2)
+        table = context_frequencies(bits, 2)
         freqs = [s.freq for s in table.values() if not s.sparse]
         assert max(freqs) - min(freqs) < 0.01
 
     def test_counts_sum(self, p2_spec):
         bits = simulate_chain(p2_spec, 100000, chain_rng(31, 0))
-        table = empirical_conditionals(bits, 3)
+        table = context_frequencies(bits, 3)
         assert sum(s.count for s in table.values()) == len(bits) - 3
 
     def test_sparse_flag(self, p2_spec):
         bits = simulate_chain(p2_spec, 2000, chain_rng(32, 0))
-        table = empirical_conditionals(bits, 3, min_count=10 ** 6)
+        table = context_frequencies(bits, 3, min_count=10 ** 6)
         assert all(s.sparse for s in table.values())
-
-    def test_order_validation(self, p2_spec):
-        with pytest.raises(ValueError):
-            empirical_conditionals(np.zeros(100, dtype=int), 4)
 
 
 def test_stream_independence(p2_spec):
