@@ -20,6 +20,8 @@ import os
 import sys
 from datetime import datetime, timezone
 
+import numpy as np
+
 from . import __version__
 from .arma import (
     arma_acvf,
@@ -147,13 +149,8 @@ def _stdout_manifest(command: str, params: dict) -> dict:
     return {"command": command, "version": __version__, "params": params}
 
 
-def _sidecar_manifest(command: str, params: dict, paths: list[str]) -> dict:
-    outputs = []
-    for path in paths:
-        with open(path, "rb") as fh:
-            blob = fh.read()
-        outputs.append({"path": os.path.basename(path), "sha256": hashlib.sha256(blob).hexdigest(),
-                        "bytes": len(blob)})
+def _sidecar_manifest(command: str, params: dict, outputs: dict[str, bytes]) -> dict:
+    """Manifest of files whose bytes, as written, are ``outputs[path]``."""
     return {
         "schema_version": 1,
         "command": command,
@@ -161,7 +158,8 @@ def _sidecar_manifest(command: str, params: dict, paths: list[str]) -> dict:
         "params": params,
         "seed": params.get("seed"),
         "timestamp": datetime.now(timezone.utc).isoformat(),
-        "outputs": outputs,
+        "outputs": [{"path": os.path.basename(path), "sha256": hashlib.sha256(blob).hexdigest(),
+                     "bytes": len(blob)} for path, blob in outputs.items()],
     }
 
 
@@ -218,30 +216,52 @@ def cmd_simulate(parser, args) -> int:
               "seed": seed, "format": fmt, "out": os.path.basename(args.out)}
     meta = {"command": "simulate", "version": __version__, "config": {
         "spec": spec_to_dict(spec), "M": args.M, "steps": args.steps, "seed": seed}}
-    if fmt == "csv":
-        _write_series_csv(args.out, series.values, meta)
-    else:
-        _write_series_json(args.out, series.values, meta)
+    blob = _series_bytes(series.values, meta, fmt)
+    with open(args.out, "wb") as fh:
+        fh.write(blob)
     manifest_path = args.out + ".manifest.json"
     with open(manifest_path, "w") as fh:
-        json.dump(_sidecar_manifest("simulate", params, [args.out]), fh, indent=2, sort_keys=True)
+        json.dump(_sidecar_manifest("simulate", params, {args.out: blob}), fh, indent=2, sort_keys=True)
         fh.write("\n")
     print(f"wrote {args.out} ({args.steps} values, {fmt}); manifest {manifest_path}")
     return EXIT_OK
 
 
-def _write_series_csv(path, values, meta) -> None:
-    lines = ["# meta: " + json.dumps(meta, separators=(",", ":"), sort_keys=True), "t,y"]
-    lines.extend(f"{t},{v}" for t, v in enumerate(values.tolist()))
-    with open(path, "w", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+def _series_bytes(values, meta, fmt) -> bytes:
+    """The ``simulate`` output file: CSV (``# meta:`` line, ``t,y`` header,
+    one ``t,y`` row per step) or JSON (``series.schema.json``, compact, keys
+    sorted), each ending in a newline."""
+    if fmt == "csv":
+        head = "# meta: " + json.dumps(meta, separators=(",", ":"), sort_keys=True) + "\nt,y\n"
+        return head.encode() + _decimal_rows((np.arange(len(values)), values), b",\n")
+    doc = json.dumps({"schema_version": 1, "meta": meta, "values": []}, separators=(",", ":"),
+                     sort_keys=True)
+    # "values" sorts last, so doc ends in "[]}"; the numbers go between the brackets
+    return doc[:-2].encode() + _decimal_rows((values,), b",")[:-1] + b"]}\n"
 
 
-def _write_series_json(path, values, meta) -> None:
-    with open(path, "w") as fh:
-        json.dump({"schema_version": 1, "meta": meta, "values": values.tolist()}, fh,
-                  separators=(",", ":"), sort_keys=True)
-        fh.write("\n")
+def _decimal_rows(columns, seps: bytes) -> bytes:
+    """ASCII text of nonnegative integer columns, row by row: each number in
+    decimal without leading zeros, followed by its separator byte ``seps[i]``.
+
+    The rows are laid out in one fixed-width uint8 matrix, each number's
+    digits right-aligned to the width of its column's largest value; a mask
+    of the leading zeros is dropped by one boolean gather.
+    """
+    columns = [np.asarray(c, dtype=np.int64) for c in columns]
+    widths = [len(str(int(c.max()))) for c in columns]
+    text = np.empty((len(columns[0]), sum(widths) + len(seps)), dtype=np.uint8)
+    keep = np.ones(text.shape, dtype=bool)
+    at = 0
+    for col, width, sep in zip(columns, widths, seps):
+        rest = col.copy()
+        for j in range(at + width - 1, at - 1, -1):
+            text[:, j] = rest % 10 + ord("0")
+            rest //= 10
+        keep[:, at : at + width - 1] = col[:, None] >= 10 ** np.arange(width - 1, 0, -1)
+        text[:, at + width] = sep
+        at += width + 1
+    return text[keep].tobytes()
 
 
 def cmd_verify(parser, args) -> int:

@@ -107,20 +107,21 @@ def simulate_counts(config: SimConfig, threads: int | None = None) -> CountSerie
     """Superpose M independent chains into a count series.
 
     Pure function of ``config``: replay is bit-identical.  Chains may be
-    generated in parallel (integer summation is order-independent).
+    generated in parallel (integer summation is order-independent); each is
+    added in as it arrives, so the M chains are never held at once.
     """
 
     def one(i: int) -> np.ndarray:
         return simulate_chain(config.spec, config.steps, chain_rng(config.seed, i))
 
+    values = np.zeros(config.steps, dtype=np.int64)
     if threads and threads > 1 and config.M > 1:
         with ThreadPoolExecutor(max_workers=min(threads, config.M)) as pool:
-            chains = list(pool.map(one, range(config.M)))
+            for ch in pool.map(one, range(config.M)):
+                values += ch
     else:
-        chains = [one(i) for i in range(config.M)]
-    values = np.zeros(config.steps, dtype=np.int64)
-    for ch in chains:
-        values += ch
+        for i in range(config.M):
+            values += one(i)
     return CountSeries(values=values, config=config)
 
 

@@ -256,6 +256,10 @@ def _markov_gates(spec: LifetimeSpec, M: int, seed: int, series) -> list[GateRes
                       for i in range(N_BATCHES)])
     worst = 0.0
     for code, target in enumerate(law):
+        if target == 0.0:  # an impossible window: every batch must miss it
+            if freqs[:, code].any():
+                worst = math.inf
+            continue
         est = freqs[:, code].mean()
         se = freqs[:, code].std(ddof=1) / math.sqrt(N_BATCHES)
         worst = max(worst, abs(est - target) / (3 * se))

@@ -3,9 +3,12 @@ import json
 from importlib import resources
 
 import jsonschema
+import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
-from renewal_arma.cli import main
+from renewal_arma.cli import _series_bytes, main
 
 
 def run(capsys, *argv):
@@ -124,8 +127,25 @@ class TestSimulate:
         manifest = json.loads((tmp_path / "series.csv.manifest.json").read_text())
         validate(manifest, "manifest.schema.json")
         assert manifest["outputs"][0]["sha256"] == hashlib.sha256(out.read_bytes()).hexdigest()
+        assert manifest["outputs"][0]["bytes"] == out.stat().st_size
         assert manifest["seed"] == 5
         assert manifest["params"]["steps"] == 20
+
+    # M = 12 takes the counts to two digits and 1001 steps take t to four
+    @pytest.mark.parametrize("fmt,sha256", [
+        ("csv", "6a0f2743c53d21fbfe84e50e82d532cf1bc636a08cf0838a9c0ce6345d54ce33"),
+        ("json", "f68ada9052349c7bc41f3d74ceb50ffdb8060b99d158d9f406a1a0590a83712e"),
+    ])
+    def test_output_bytes_pinned(self, capsys, tmp_path, fmt, sha256):
+        out = tmp_path / f"series.{fmt}"
+        code, _, _ = run(capsys, "simulate", "--head", "0.8,0.1", "--r", "0.5", "--M", "12",
+                         "--steps", "1001", "--seed", "4", "--format", fmt, "--out", str(out))
+        assert code == 0
+        blob = out.read_bytes()
+        assert hashlib.sha256(blob).hexdigest() == sha256
+        manifest = json.loads((tmp_path / f"series.{fmt}.manifest.json").read_text())
+        validate(manifest, "manifest.schema.json")
+        assert manifest["outputs"] == [{"path": out.name, "sha256": sha256, "bytes": len(blob)}]
 
     def test_zero_steps_is_argument_error(self, capsys, tmp_path):
         with pytest.raises(SystemExit) as exc:
@@ -138,6 +158,29 @@ class TestSimulate:
                            "--steps", "10", "--seed", "1", "--out", "/nonexistent-dir/x.csv")
         assert code == 2
         assert err.startswith("error: ")
+
+
+SIM_META = {"command": "simulate", "version": "0.1.0", "config": {
+    "spec": {"head": [0.2, 0.3], "r": 0.6}, "M": 5, "steps": 3, "seed": 0}}
+
+
+def text_series(values, meta, fmt):
+    """The output file as the row-by-row text formatter wrote it."""
+    if fmt == "csv":
+        lines = ["# meta: " + json.dumps(meta, separators=(",", ":"), sort_keys=True), "t,y"]
+        lines.extend(f"{t},{v}" for t, v in enumerate(values.tolist()))
+        return "\n".join(lines) + "\n"
+    return json.dumps({"schema_version": 1, "meta": meta, "values": values.tolist()},
+                      separators=(",", ":"), sort_keys=True) + "\n"
+
+
+@given(st.lists(st.integers(0, 12) | st.integers(0, 2 ** 63 - 1), min_size=1, max_size=300))
+@example([0])
+@example([0, 9, 10, 99, 100, 10 ** 9 - 1, 10 ** 9, 2 ** 63 - 1])
+def test_series_bytes_match_text_formatter(values):
+    values = np.array(values, dtype=np.int64)
+    for fmt in ("csv", "json"):
+        assert _series_bytes(values, SIM_META, fmt) == text_series(values, SIM_META, fmt).encode()
 
 
 class TestVerify:
