@@ -141,10 +141,6 @@ def _build_spec(args):
     return make_constant_hazard(args.head, args.r, allow_zero_f1=args.allow_zero_f1)
 
 
-def _threads() -> int:
-    return max(1, int(os.environ.get("RENEWAL_ARMA_THREADS", os.cpu_count() or 1)))
-
-
 def _stdout_manifest(command: str, params: dict) -> dict:
     return {"command": command, "version": __version__, "params": params}
 
@@ -211,7 +207,7 @@ def cmd_simulate(parser, args) -> int:
         parser.error("--seed must fit in 64 unsigned bits")
     spec = _build_spec(args)
     config = SimConfig(spec=spec, M=args.M, steps=args.steps, seed=seed)
-    series = simulate_counts(config, threads=_threads())
+    series = simulate_counts(config)
     params = {"spec": spec_to_dict(spec), "M": args.M, "steps": args.steps,
               "seed": seed, "format": fmt, "out": os.path.basename(args.out)}
     meta = {"command": "simulate", "version": __version__, "config": {
@@ -286,7 +282,7 @@ def cmd_verify(parser, args) -> int:
         declared = payload.get("sigma2")
         gates += verify_model(model, spec=spec, declared_sigma2=declared)
     elif spec is not None:
-        gates = verify_spec(spec, M=M, level=level, seed=seed, threads=_threads())
+        gates = verify_spec(spec, M=M, level=level, seed=seed)
     else:
         parser.error("give --head/--r, --model, or both")
     for gate in gates:

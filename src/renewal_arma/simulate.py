@@ -2,14 +2,16 @@
 
 Each of the M superposed chains draws from its own counter-based Philox
 stream, derived deterministically from the run seed as
-``SeedSequence(seed, spawn_key=(chain,))``, so output is bit-identical for a
-given configuration regardless of execution order or parallelism.
+``SeedSequence(seed, spawn_key=(chain,))``.  Every delay and lifetime is a
+function of one uniform, taken in stream order, so the output depends only on
+each chain's uniform stream: it is bit-identical for a given configuration,
+whatever sizes the uniforms are drawn in.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,82 +48,153 @@ def chain_rng(seed: int, chain: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=(chain,))))
 
 
-def _sample_head_tail(head, r: float, n: int, rng: np.random.Generator, finite: bool) -> np.ndarray:
-    """Draw n values k >= 0 with P(k) = head[k] below len(head) and a geometric tail of ratio r.
+@dataclass(frozen=True)
+class DrawLaw:
+    """Law of ``offset + k`` with P(k) = head[k] below len(head) and a geometric tail of ratio r.
 
-    A uniform u past the head mass lands at
-    ``len(head) + floor(log(residual) / log(r))`` with
-    ``residual = (1 - u) / tail mass``, which is exact (never truncated).
-    With ``finite`` the head carries all mass, and a draw that rounding in
-    the last cdf entry leaks past it is clamped back.
+    A uniform u maps to the number of ``cuts`` (head cdf entries) at or below
+    it, which is ``searchsorted(cdf, u, side="right")``.  A uniform past the
+    head mass lands at ``len(head) + floor(log(residual) / log(r))`` with
+    ``residual = (1 - u) / tail``, which is exact (never truncated).  Each
+    draw depends on its own uniform only.
     """
-    u = rng.random(n)
-    cdf = np.cumsum(head)
-    out = np.searchsorted(cdf, u, side="right").astype(np.int64)
-    if finite:
-        return np.minimum(out, len(cdf) - 1)
-    in_tail = out == len(cdf)
-    if r > 0.0 and in_tail.any():
-        residual = (1.0 - u[in_tail]) / (1.0 - (cdf[-1] if len(cdf) else 0.0))
-        out[in_tail] += np.floor(np.log(residual) / math.log(r)).astype(np.int64)
-    return out
+
+    cuts: tuple[float, ...]
+    tail: float  # head mass deficit 1 - cdf[-1]; 0.0 when no draw takes the geometric tail
+    log_r: float
+    offset: int
+
+    @classmethod
+    def of(cls, head, r: float, finite: bool, offset: int) -> "DrawLaw":
+        """With ``finite`` the head carries all mass, and a draw that rounding in
+        the last cdf entry leaks past it stays at the last head value."""
+        cdf = [float(c) for c in np.cumsum(head)]
+        if finite:
+            return cls(tuple(cdf[:-1]), 0.0, 0.0, offset)
+        tail = 1.0 - (cdf[-1] if cdf else 0.0)
+        if r > 0.0 and tail > 0.0:
+            return cls(tuple(cdf), tail, math.log(r), offset)
+        # no geometric tail, or a head mass that rounds to 1 so no uniform passes it
+        return cls(tuple(cdf), 0.0, 0.0, offset)
+
+    def draw(self, n: int, rng: np.random.Generator) -> np.ndarray:
+        u = rng.random(n)
+        cuts = self.cuts
+        if self.tail > 0.0:
+            # the geometric excess over the whole batch, zeroed on head draws
+            x = np.subtract(1.0, u)
+            x /= self.tail
+            np.log(x, out=x)
+            x /= self.log_r
+            np.floor(x, out=x)
+            if cuts:
+                x *= u >= cuts[-1]
+            k = x.astype(np.int64)
+        else:
+            k = np.zeros(n, dtype=np.int64)
+        for c in cuts:
+            k += u >= c
+        if self.offset:
+            k += self.offset
+        return k
+
+    def draw_one(self, rng: np.random.Generator) -> int:
+        """One draw, as ``draw(1, rng)[0]`` gives it, without the whole-batch passes."""
+        u = rng.random()
+        k = bisect.bisect_right(self.cuts, u)
+        if self.tail > 0.0 and k == len(self.cuts):
+            # the logarithm on a 1-element array, as the batch pass takes it
+            k += math.floor(np.log(np.array([(1.0 - u) / self.tail]))[0] / self.log_r)
+        return k + self.offset
 
 
-def sample_lifetimes(spec: LifetimeSpec, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw n lifetimes: inverse CDF over f_1..f_p, analytic geometric tail from p + 1."""
-    return _sample_head_tail(spec.head, spec.r, n, rng, spec.tail_first == 0.0) + 1
+def lifetime_law(spec: LifetimeSpec) -> DrawLaw:
+    """Inverse CDF over f_1..f_p, analytic geometric tail from p + 1."""
+    return DrawLaw.of(spec.head, spec.r, spec.tail_first == 0.0, 1)
+
+
+def delay_law(spec: LifetimeSpec) -> DrawLaw:
+    """b_j = P(L > j)/E[L]; beyond lag p the tail of b is geometric with ratio r."""
+    mu = spec.mean()
+    return DrawLaw.of([spec.survival(j) / mu for j in range(spec.p + 1)], spec.r, spec.r == 0.0, 0)
+
+
+def sample_lifetimes(spec: LifetimeSpec, n: int, rng: np.random.Generator,
+                     law: DrawLaw | None = None) -> np.ndarray:
+    """Draw n lifetimes; ``law`` is ``lifetime_law(spec)``, passed by callers that draw repeatedly."""
+    return (law if law is not None else lifetime_law(spec)).draw(n, rng)
 
 
 def sample_equilibrium_delays(spec: LifetimeSpec, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw n delays from b_j = P(L > j)/E[L]; beyond lag p the tail of b is
-    geometric with ratio r and is sampled analytically."""
-    mu = spec.mean()
-    b_head = [spec.survival(j) / mu for j in range(spec.p + 1)]
-    return _sample_head_tail(b_head, spec.r, n, rng, spec.r == 0.0)
+    """Draw n equilibrium delays, the law that makes the delayed chain stationary."""
+    return delay_law(spec).draw(n, rng)
+
+
+@dataclass(frozen=True)
+class ChainLaws:
+    """Everything one chain draws from, computed once per spec."""
+
+    spec: LifetimeSpec
+    lifetime: DrawLaw
+    delay: DrawLaw
+    mu: float
+    sd: float  # sqrt(Var[L] / mu**3): renewals in n steps have standard deviation sd * sqrt(n)
+
+    @classmethod
+    def of(cls, spec: LifetimeSpec) -> "ChainLaws":
+        mu = spec.mean()
+        sd = math.sqrt(max(spec.variance(), 0.0) / mu ** 3)
+        return cls(spec, lifetime_law(spec), delay_law(spec), mu, sd)
+
+    def batch(self, span: int) -> int:
+        """Lifetimes to draw for ``span`` steps: the mean count plus four sd, so a
+        second batch is rare."""
+        return int(span / self.mu + 4.0 * self.sd * math.sqrt(span)) + 16
+
+
+def chain_epochs(laws: ChainLaws, steps: int, rng: np.random.Generator) -> np.ndarray:
+    """Sorted renewal epochs below ``steps`` of one stationary chain.
+
+    The first renewal happens after an equilibrium delay, subsequent ones
+    after independent lifetimes.  Epochs are a function of the uniform
+    stream alone: the batch sizes only decide how many uniforms each
+    ``rng.random`` call takes.
+    """
+    t = laws.delay.draw_one(rng)
+    if t >= steps:
+        return np.empty(0, dtype=np.int64)
+    parts = [np.array([t], dtype=np.int64)]
+    while True:
+        # through the module attribute, where perfbench's tracer counts lifetimes drawn
+        ep = sample_lifetimes(laws.spec, laws.batch(steps - t), rng, laws.lifetime)
+        ep[0] += t
+        np.cumsum(ep, out=ep)
+        if ep[-1] >= steps:
+            parts.append(ep[: np.searchsorted(ep, steps)])
+            return np.concatenate(parts)
+        parts.append(ep)
+        t = int(ep[-1])
 
 
 def simulate_chain(spec: LifetimeSpec, steps: int, rng: np.random.Generator) -> np.ndarray:
-    """One stationary renewal indicator chain X_0..X_{steps-1}.
-
-    The first renewal happens after an equilibrium delay, subsequent ones
-    after independent lifetimes; bits are set at every renewal epoch below
-    ``steps``.
-    """
+    """One stationary renewal indicator chain X_0..X_{steps-1}: bits set at its renewal epochs."""
     bits = np.zeros(steps, dtype=np.uint8)
-    t = int(sample_equilibrium_delays(spec, 1, rng)[0])
-    if t >= steps:
-        return bits
-    bits[t] = 1
-    mu = spec.mean()
-    cur = t
-    while True:
-        batch = max(16, int(1.2 * (steps - cur) / mu) + 16)
-        epochs = cur + np.cumsum(sample_lifetimes(spec, batch, rng))
-        bits[epochs[epochs < steps]] = 1
-        if epochs[-1] >= steps:
-            return bits
-        cur = int(epochs[-1])
+    bits[chain_epochs(ChainLaws.of(spec), steps, rng)] = 1
+    return bits
 
 
 def simulate_counts(config: SimConfig, threads: int | None = None) -> CountSeries:
     """Superpose M independent chains into a count series.
 
-    Pure function of ``config``: replay is bit-identical.  Chains may be
-    generated in parallel (integer summation is order-independent); each is
-    added in as it arrives, so the M chains are never held at once.
+    Pure function of ``config``: replay is bit-identical.  Chains run one
+    at a time, each added in by index (a chain's epochs are distinct), so
+    the M chains are never held at once.  ``threads`` is accepted for
+    compatibility and ignored.
     """
-
-    def one(i: int) -> np.ndarray:
-        return simulate_chain(config.spec, config.steps, chain_rng(config.seed, i))
-
+    laws = ChainLaws.of(config.spec)
     values = np.zeros(config.steps, dtype=np.int64)
-    if threads and threads > 1 and config.M > 1:
-        with ThreadPoolExecutor(max_workers=min(threads, config.M)) as pool:
-            for ch in pool.map(one, range(config.M)):
-                values += ch
-    else:
-        for i in range(config.M):
-            values += one(i)
+    for i in range(config.M):
+        values[chain_epochs(laws, config.steps, chain_rng(config.seed, i))] += 1
     return CountSeries(values=values, config=config)
 
 

@@ -88,11 +88,10 @@ def verify_spec(
     M: int = 5,
     level: str = "quick",
     seed: int = 20260812,
-    threads: int = 1,
 ) -> list[GateResult]:
     gates = analytic_gates(spec, M)
     if level == "full":
-        gates += monte_carlo_gates(spec, M, seed, threads)
+        gates += monte_carlo_gates(spec, M, seed)
     return gates
 
 
@@ -178,10 +177,10 @@ def analytic_gates(spec: LifetimeSpec, M: int) -> list[GateResult]:
     return out
 
 
-def monte_carlo_gates(spec: LifetimeSpec, M: int, seed: int, threads: int = 1) -> list[GateResult]:
+def monte_carlo_gates(spec: LifetimeSpec, M: int, seed: int) -> list[GateResult]:
     out = []
     mu = spec.mean()
-    series = simulate_counts(SimConfig(spec=spec, M=M, steps=FULL_STEPS, seed=seed), threads=threads)
+    series = simulate_counts(SimConfig(spec=spec, M=M, steps=FULL_STEPS, seed=seed))
     y = series.values.astype(float)
 
     se = batch_se(y)

@@ -147,6 +147,13 @@ class TestSimulate:
         validate(manifest, "manifest.schema.json")
         assert manifest["outputs"] == [{"path": out.name, "sha256": sha256, "bytes": len(blob)}]
 
+    def test_thread_variable_is_ignored(self, capsys, tmp_path, monkeypatch):
+        # simulation runs on one thread and reads no environment variable
+        monkeypatch.setenv("RENEWAL_ARMA_THREADS", "abc")
+        code, _, err = run(capsys, "simulate", "--head", "0.5", "--r", "0.5", "--M", "2",
+                           "--steps", "10", "--seed", "1", "--out", str(tmp_path / "x.csv"))
+        assert code == 0, err
+
     def test_zero_steps_is_argument_error(self, capsys, tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(["simulate", "--head", "0.5", "--r", "0.5", "--M", "1",

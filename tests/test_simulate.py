@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from renewal_arma import (
     SimConfig,
@@ -14,7 +16,16 @@ from renewal_arma import (
     simulate_chain,
     simulate_counts,
 )
-from renewal_arma.simulate import sample_equilibrium_delays, sample_lifetimes
+from renewal_arma.simulate import (
+    ChainLaws,
+    delay_law,
+    lifetime_law,
+    sample_equilibrium_delays,
+    sample_lifetimes,
+)
+from renewal_arma.errors import RenewalArmaError
+
+from conftest import make_battery
 
 
 def se_of_mean(x):
@@ -121,6 +132,16 @@ class TestSimulateCounts:
         digest = hashlib.sha256(series.values.astype("<i8").tobytes()).hexdigest()
         assert digest == "6990931c0a31b8a8ce9514ae54e99386fa192a8cd257e891b0db7f902f2a3d27"
 
+    @pytest.mark.parametrize("head, r, digest", [
+        ((0.1, 0.2, 0.3), 0.5, "2bc7ba44f3d68b9529ec185f25ad51b18eae6dc1840076289fcfad4198fb130a"),
+        ((0.5, 0.5), 0.0, "5e72558cdd9acb7e9110addecb7f2699f27d73eb1385d1b99ff14e46fcf33f94"),
+    ])
+    def test_output_pinned_wide(self, head, r, digest):
+        # a p = 3 head and a finite-support head, at many chains
+        spec = make_constant_hazard(head, r)
+        series = simulate_counts(SimConfig(spec=spec, M=300, steps=2000, seed=11))
+        assert hashlib.sha256(series.values.astype("<i8").tobytes()).hexdigest() == digest
+
     def test_thread_count_does_not_change_output(self, p2_spec):
         config = SimConfig(spec=p2_spec, M=4, steps=20000, seed=7)
         a = simulate_counts(config, threads=1)
@@ -196,3 +217,153 @@ def test_stream_independence(p2_spec):
     a = simulate_chain(p2_spec, 10000, chain_rng(50, 0))
     b = simulate_chain(p2_spec, 10000, chain_rng(50, 1))
     assert not np.array_equal(a, b)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(0, 2 ** 64 - 1), st.integers(0, 10 ** 6), st.integers(0, 300), st.integers(0, 300))
+def test_stream_splits_freely(seed, chain, a, b):
+    # the draws may take the uniforms in any batch sizes: the stream is the same
+    whole = chain_rng(seed, chain).random(a + b)
+    rng = chain_rng(seed, chain)
+    assert np.array_equal(np.concatenate([rng.random(a), rng.random(b)]), whole)
+    # a scalar draw takes the next uniform, as a batch of one does
+    rng = chain_rng(seed, chain)
+    assert np.array_equal(np.concatenate([[rng.random()], rng.random(b)]), chain_rng(seed, chain).random(b + 1))
+
+
+# The searchsorted kernel that the comparison-sum kernel replaced, kept as the
+# reference: the draws and every simulated bit must stay integer-identical.
+
+def ref_sample_head_tail(head, r, n, rng, finite):
+    u = rng.random(n)
+    cdf = np.cumsum(head)
+    out = np.searchsorted(cdf, u, side="right").astype(np.int64)
+    if finite:
+        return np.minimum(out, len(cdf) - 1)
+    in_tail = out == len(cdf)
+    if r > 0.0 and in_tail.any():
+        residual = (1.0 - u[in_tail]) / (1.0 - (cdf[-1] if len(cdf) else 0.0))
+        out[in_tail] += np.floor(np.log(residual) / math.log(r)).astype(np.int64)
+    return out
+
+
+def ref_sample_lifetimes(spec, n, rng):
+    return ref_sample_head_tail(spec.head, spec.r, n, rng, spec.tail_first == 0.0) + 1
+
+
+def ref_sample_delays(spec, n, rng):
+    mu = spec.mean()
+    b_head = [spec.survival(j) / mu for j in range(spec.p + 1)]
+    return ref_sample_head_tail(b_head, spec.r, n, rng, spec.r == 0.0)
+
+
+def ref_simulate_chain(spec, steps, rng):
+    bits = np.zeros(steps, dtype=np.uint8)
+    t = int(ref_sample_delays(spec, 1, rng)[0])
+    if t >= steps:
+        return bits
+    bits[t] = 1
+    mu = spec.mean()
+    cur = t
+    while True:
+        batch = max(16, int(1.2 * (steps - cur) / mu) + 16)
+        epochs = cur + np.cumsum(ref_sample_lifetimes(spec, batch, rng))
+        bits[epochs[epochs < steps]] = 1
+        if epochs[-1] >= steps:
+            return bits
+        cur = int(epochs[-1])
+
+
+def ref_simulate_counts(config):
+    values = np.zeros(config.steps, dtype=np.int64)
+    for i in range(config.M):
+        values += ref_simulate_chain(config.spec, config.steps, chain_rng(config.seed, i))
+    return values
+
+
+class Uniforms:
+    """A stand-in generator that hands out given uniforms in order."""
+
+    def __init__(self, u):
+        self.u = np.asarray(u, dtype=float)
+        self.at = 0
+
+    def random(self, n=None):
+        k = 1 if n is None else n
+        out = self.u[self.at : self.at + k]
+        self.at += k
+        return out.copy() if n is not None else float(out[0])
+
+
+@st.composite
+def lifetime_specs(draw):
+    p = draw(st.integers(0, 5))
+    if p > 1 and draw(st.booleans()):
+        # finite support: dyadic heads sum to exactly 1, so no lifetime passes p
+        cuts = sorted(draw(st.lists(st.integers(1, 63), min_size=p - 1, max_size=p - 1)))
+        head, r = np.diff([0, *cuts, 64]) / 64.0, 0.0
+    else:
+        r = draw(st.sampled_from([0.0, 0.99]) | st.floats(0.01, 0.99))
+        w = draw(st.lists(st.floats(0.0, 1.0), min_size=p, max_size=p))
+        mass, total = draw(st.floats(0.05, 0.95)), math.fsum(w)
+        head = [f * mass / total for f in w] if total > 0 else w
+    try:
+        return make_constant_hazard(head, r, allow_zero_f1=True)
+    except RenewalArmaError:
+        assume(False)
+
+
+def edge_uniforms(spec):
+    """Every head cdf entry, its neighbours, 0 and the largest uniforms below 1."""
+    mu = spec.mean()
+    cdfs = np.concatenate([np.cumsum(spec.head),
+                           np.cumsum([spec.survival(j) / mu for j in range(spec.p + 1)])])
+    below_one = [np.nextafter(1.0, 0.0), 1.0 - 2.0 ** -52, 1.0 - 1e-12]
+    near = [np.nextafter(cdfs, 0.0), cdfs, np.nextafter(cdfs, 1.0)]
+    u = np.concatenate([[0.0], below_one, *near])
+    return u[(u >= 0.0) & (u < 1.0)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(lifetime_specs(), st.lists(st.floats(0.0, 1.0, exclude_max=True), max_size=50))
+@example(make_constant_hazard([0.2, 0.3], 0.99), [0.5])
+@example(make_constant_hazard([0.5, 0.5], 0.0), [0.5])
+@example(make_constant_hazard([0.3, 0.3], 0.0), [0.3, 0.6, 0.9])
+@example(make_constant_hazard([], 0.5), [0.0, 0.25])
+# the head cdf rounds to 1 although the tail mass is positive
+@example(make_constant_hazard([0.19274764576070666, 0.19518600551152443, 0.09328377367501196,
+                               0.06510711578676671, 0.4536754592659901], 0.5), [0.999])
+def test_draws_match_reference(spec, extra):
+    u = np.concatenate([edge_uniforms(spec), extra])
+    n = len(u)
+    assert np.array_equal(lifetime_law(spec).draw(n, Uniforms(u)), ref_sample_lifetimes(spec, n, Uniforms(u)))
+    want = ref_sample_delays(spec, n, Uniforms(u))
+    assert np.array_equal(delay_law(spec).draw(n, Uniforms(u)), want)
+    one = Uniforms(u)
+    assert [delay_law(spec).draw_one(one) for _ in range(n)] == want.tolist()
+
+
+@pytest.mark.parametrize("steps", [1, 7, 10 ** 4])
+@pytest.mark.parametrize("M", [1, 3, 300])
+def test_counts_match_reference(M, steps):
+    for seed, (_, spec) in enumerate(make_battery(1234, per_p=2)):
+        config = SimConfig(spec=spec, M=M, steps=steps, seed=seed)
+        assert np.array_equal(simulate_counts(config).values, ref_simulate_counts(config)), (spec, config)
+
+
+@pytest.mark.parametrize("head, r", [((0.2, 0.3), 0.6), ((0.1, 0.2, 0.3, 0.1, 0.1), 0.99),
+                                     ((0.5, 0.5), 0.0), ((0.3, 0.3), 0.0), ((), 0.5)])
+def test_chain_matches_reference(head, r):
+    spec = make_constant_hazard(head, r)
+    for chain in range(20):
+        got = simulate_chain(spec, 3000, chain_rng(70, chain))
+        assert np.array_equal(got, ref_simulate_chain(spec, 3000, chain_rng(70, chain)))
+
+
+@pytest.mark.parametrize("size", [1, 2, 7])
+def test_batch_size_does_not_change_output(p2_spec, monkeypatch, size):
+    # small batches take every chain through many rounds of the batch loop
+    config = SimConfig(spec=p2_spec, M=3, steps=500, seed=12)
+    want = ref_simulate_counts(config)
+    monkeypatch.setattr(ChainLaws, "batch", lambda self, span: size)
+    assert np.array_equal(simulate_counts(config).values, want)
