@@ -1,8 +1,9 @@
 """Command line interface: factorize, simulate, verify, markov.
 
-Exit codes: 0 success, 2 argument error (bad flag or config value, unreadable
-or unwritable path), 3 validation error (lattice/mass, malformed model file),
-4 numerical-factorization error, 5 verification-gate failure.
+Exit codes: 0 success, 1 any other library error, 2 argument error (bad flag
+or config value, unreadable or unwritable path), 3 validation error
+(lattice/mass, non-finite input, malformed model file), 4
+numerical-factorization error, 5 verification-gate failure.
 
 Every command is deterministic given its full argument vector (including the
 seed).  File outputs get a sidecar ``<out>.manifest.json`` carrying the
@@ -14,8 +15,10 @@ byte-identical.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
+import math
 import os
 import sys
 from datetime import datetime, timezone
@@ -137,6 +140,13 @@ def _require(parser, args, names):
             parser.error(f"--{name.replace('_', '-')} is required")
 
 
+def _seed(parser, args, default: int) -> int:
+    seed = args.seed if args.seed is not None else default
+    if not 0 <= seed < 2 ** 64:
+        parser.error("--seed must fit in 64 unsigned bits")
+    return seed
+
+
 def _build_spec(args):
     return make_constant_hazard(args.head, args.r, allow_zero_f1=args.allow_zero_f1)
 
@@ -145,8 +155,8 @@ def _stdout_manifest(command: str, params: dict) -> dict:
     return {"command": command, "version": __version__, "params": params}
 
 
-def _sidecar_manifest(command: str, params: dict, outputs: dict[str, bytes]) -> dict:
-    """Manifest of files whose bytes, as written, are ``outputs[path]``."""
+def _sidecar_manifest(command: str, params: dict, outputs: dict[str, tuple[str, int]]) -> dict:
+    """Manifest of files whose sha256 hex digest and byte count, as written, are ``outputs[path]``."""
     return {
         "schema_version": 1,
         "command": command,
@@ -154,8 +164,8 @@ def _sidecar_manifest(command: str, params: dict, outputs: dict[str, bytes]) -> 
         "params": params,
         "seed": params.get("seed"),
         "timestamp": datetime.now(timezone.utc).isoformat(),
-        "outputs": [{"path": os.path.basename(path), "sha256": hashlib.sha256(blob).hexdigest(),
-                     "bytes": len(blob)} for path, blob in outputs.items()],
+        "outputs": [{"path": os.path.basename(path), "sha256": sha256, "bytes": size}
+                    for path, (sha256, size) in outputs.items()],
     }
 
 
@@ -171,6 +181,8 @@ def cmd_factorize(parser, args) -> int:
     if args.pgf_num is not None or args.pgf_den is not None:
         if args.pgf_num is None or args.pgf_den is None:
             parser.error("--pgf-num and --pgf-den must be given together")
+        if not all(math.isfinite(c) for c in args.pgf_num + args.pgf_den):
+            raise ValidationError("pgf coefficients must be finite")
         pgf = make_rational_pgf(Poly(tuple(args.pgf_num)), Poly(tuple(args.pgf_den)))
         params = {"pgf_num": args.pgf_num, "pgf_den": args.pgf_den, "M": M, "hmax": hmax}
     else:
@@ -199,12 +211,10 @@ def cmd_factorize(parser, args) -> int:
 
 def cmd_simulate(parser, args) -> int:
     _require(parser, args, ["head", "r", "M", "steps", "out"])
-    seed = args.seed if args.seed is not None else 0
+    seed = _seed(parser, args, 0)
     fmt = args.format or "csv"
     if args.M < 1 or args.steps < 1:
         parser.error("--M and --steps must be positive")
-    if not 0 <= seed < 2 ** 64:
-        parser.error("--seed must fit in 64 unsigned bits")
     spec = _build_spec(args)
     config = SimConfig(spec=spec, M=args.M, steps=args.steps, seed=seed)
     series = simulate_counts(config)
@@ -212,58 +222,109 @@ def cmd_simulate(parser, args) -> int:
               "seed": seed, "format": fmt, "out": os.path.basename(args.out)}
     meta = {"command": "simulate", "version": __version__, "config": {
         "spec": spec_to_dict(spec), "M": args.M, "steps": args.steps, "seed": seed}}
-    blob = _series_bytes(series.values, meta, fmt)
+    digest, size = hashlib.sha256(), 0
     with open(args.out, "wb") as fh:
-        fh.write(blob)
+        for block in _series_blocks(series.values, meta, fmt):  # hashed as written, never read back
+            digest.update(block)
+            size += fh.write(block)
     manifest_path = args.out + ".manifest.json"
+    outputs = {args.out: (digest.hexdigest(), size)}
     with open(manifest_path, "w") as fh:
-        json.dump(_sidecar_manifest("simulate", params, {args.out: blob}), fh, indent=2, sort_keys=True)
+        json.dump(_sidecar_manifest("simulate", params, outputs), fh, indent=2, sort_keys=True)
         fh.write("\n")
     print(f"wrote {args.out} ({args.steps} values, {fmt}); manifest {manifest_path}")
     return EXIT_OK
 
 
-def _series_bytes(values, meta, fmt) -> bytes:
-    """The ``simulate`` output file: CSV (``# meta:`` line, ``t,y`` header,
-    one ``t,y`` row per step) or JSON (``series.schema.json``, compact, keys
-    sorted), each ending in a newline."""
+BLOCK_DIGITS = 5  # an output block holds at most 10**BLOCK_DIGITS rows
+
+
+def _series_blocks(values, meta, fmt):
+    """The ``simulate`` output file, as consecutive bytes-like blocks: CSV
+    (``# meta:`` line, ``t,y`` header, one ``t,y`` row per step) or JSON
+    (``series.schema.json``, compact, keys sorted), each ending in a newline.
+
+    The rows are encoded a block at a time, so the file never exists whole
+    in memory.  CSV blocks never cross a decade of t, so every t in a block
+    has the same d digits; the first d - k of them are constant and the last
+    k count up from zero, a copy of a table of the numbers below 10**k.
+    """
+    values = np.asarray(values, dtype=np.int64)
     if fmt == "csv":
-        head = "# meta: " + json.dumps(meta, separators=(",", ":"), sort_keys=True) + "\nt,y\n"
-        return head.encode() + _decimal_rows((np.arange(len(values)), values), b",\n")
+        yield ("# meta: " + json.dumps(meta, separators=(",", ":"), sort_keys=True) + "\nt,y\n").encode()
+        low = _low_digits()
+        for lo, hi, d, k in _t_blocks(len(values)):
+            counts = values[lo:hi]
+            text = np.empty((hi - lo, d + _count_width(counts) + 2), dtype=np.uint8)
+            text[:, : d - k] = np.frombuffer(str(lo)[: d - k].encode(), dtype=np.uint8)
+            for j in range(k):  # column by column: a row-major (rows, k) copy is about 3x slower
+                text[:, d - k + j] = low[BLOCK_DIGITS - k + j, : hi - lo]
+            text[:, d] = ord(",")
+            yield _count_field(text, d + 1, counts, ord("\n"))
+        return
     doc = json.dumps({"schema_version": 1, "meta": meta, "values": []}, separators=(",", ":"),
                      sort_keys=True)
-    # "values" sorts last, so doc ends in "[]}"; the numbers go between the brackets
-    return doc[:-2].encode() + _decimal_rows((values,), b",")[:-1] + b"]}\n"
+    yield doc[:-2].encode()  # "values" sorts last, so doc ends in "[]}"; the numbers go between
+    for lo in range(0, len(values), 10 ** BLOCK_DIGITS):
+        counts = values[lo : lo + 10 ** BLOCK_DIGITS]
+        block = _count_field(np.empty((len(counts), _count_width(counts) + 1), dtype=np.uint8),
+                             0, counts, ord(","))
+        yield block if lo + len(counts) < len(values) else block[:-1]
+    yield b"]}\n"
 
 
-def _decimal_rows(columns, seps: bytes) -> bytes:
-    """ASCII text of nonnegative integer columns, row by row: each number in
-    decimal without leading zeros, followed by its separator byte ``seps[i]``.
+def _t_blocks(n):
+    """(lo, hi, d, k) for consecutive blocks [lo, hi) of 0..n-1: every t in a
+    block has d digits, lo is a multiple of 10**k and hi - lo <= 10**k."""
+    lo = 0
+    while lo < n:
+        d = len(str(lo))
+        k = max(1, min(d - 1, BLOCK_DIGITS))
+        hi = min(lo + 10 ** k, n)
+        yield lo, hi, d, k
+        lo = hi
 
-    The rows are laid out in one fixed-width uint8 matrix, each number's
-    digits right-aligned to the width of its column's largest value; a mask
-    of the leading zeros is dropped by one boolean gather.
-    """
-    columns = [np.asarray(c, dtype=np.int64) for c in columns]
-    widths = [len(str(int(c.max()))) for c in columns]
-    text = np.empty((len(columns[0]), sum(widths) + len(seps)), dtype=np.uint8)
+
+@functools.cache
+def _low_digits() -> np.ndarray:
+    """ASCII digits of 0, 1, 2, .., 10**BLOCK_DIGITS - 1, zero-padded: row j
+    holds the digit of place 10**(BLOCK_DIGITS - 1 - j) of each number."""
+    size = 10 ** BLOCK_DIGITS
+    digits = np.frombuffer(b"0123456789", dtype=np.uint8)
+    table = np.stack([np.tile(np.repeat(digits, 10 ** j), size // 10 ** (j + 1))
+                      for j in range(BLOCK_DIGITS - 1, -1, -1)])
+    table.flags.writeable = False  # one cached table serves every call
+    return table
+
+
+def _count_width(counts) -> int:
+    return len(str(int(counts.max())))
+
+
+def _count_field(text, at, counts, sep: int) -> np.ndarray:
+    """Fill columns ``at`` to the end of the uint8 row matrix ``text``: each
+    count in decimal, right-aligned to the widest, then the separator byte.
+    Returns the rows as one flat array; only a block whose counts differ in
+    width needs a gather to drop the leading zeros."""
+    width = text.shape[1] - at - 1
+    text[:, -1] = sep
+    rest = counts
+    for j in range(at + width - 1, at, -1):  # one pass per place, the leading digit needs none
+        quot = rest // 10
+        np.subtract(rest + ord("0"), 10 * quot, out=text[:, j], casting="unsafe")
+        rest = quot
+    np.add(rest, ord("0"), out=text[:, at], casting="unsafe")
+    if width == 1 or int(counts.min()) >= 10 ** (width - 1):
+        return text.reshape(-1)
     keep = np.ones(text.shape, dtype=bool)
-    at = 0
-    for col, width, sep in zip(columns, widths, seps):
-        rest = col.copy()
-        for j in range(at + width - 1, at - 1, -1):
-            text[:, j] = rest % 10 + ord("0")
-            rest //= 10
-        keep[:, at : at + width - 1] = col[:, None] >= 10 ** np.arange(width - 1, 0, -1)
-        text[:, at + width] = sep
-        at += width + 1
-    return text[keep].tobytes()
+    keep[:, at : at + width - 1] = counts[:, None] >= 10 ** np.arange(width - 1, 0, -1)
+    return text[keep]
 
 
 def cmd_verify(parser, args) -> int:
     level = args.level or "quick"
     M = args.M if args.M is not None else 5
-    seed = args.seed if args.seed is not None else 20260812
+    seed = _seed(parser, args, 20260812)
     if M < 1:
         parser.error("--M must be positive")
     gates = []

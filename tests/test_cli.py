@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from renewal_arma.cli import _series_bytes, main
+from renewal_arma.cli import _series_blocks, main
 
 
 def run(capsys, *argv):
@@ -72,6 +72,12 @@ class TestFactorize:
         code, out, _ = run(capsys, "factorize", "--pgf-num", "0,0.5", "--pgf-den", "1,-0.5")
         assert code == 0
         assert json.loads(out)["model"]["k"] == pytest.approx(0.5)
+
+    @pytest.mark.parametrize("num,den", [("nan", "1"), ("0,0.5", "0,inf"), ("0,-inf", "1")])
+    def test_non_finite_pgf_exit_code(self, capsys, num, den):
+        code, _, err = run(capsys, "factorize", "--pgf-num", num, "--pgf-den", den)
+        assert code == 3
+        assert err == "error: pgf coefficients must be finite\n"
 
     def test_deterministic_output(self, capsys):
         _, out1, _ = run(capsys, "factorize", "--head", "0.2,0.3", "--r", "0.6", "--M", "5")
@@ -147,6 +153,22 @@ class TestSimulate:
         validate(manifest, "manifest.schema.json")
         assert manifest["outputs"] == [{"path": out.name, "sha256": sha256, "bytes": len(blob)}]
 
+    # 123457 steps take t across five decade boundaries, in several output blocks
+    @pytest.mark.parametrize("fmt,sha256", [
+        ("csv", "08f253c39d670efd67848a8e17a3b6b29515e467c4e21bc2dffeef0881075597"),
+        ("json", "4d84b6c9b68a69edadcd83440c4dfe18e9cc104c37ac8e1841a7d7acdf65e1f2"),
+    ])
+    def test_output_bytes_pinned_multiblock(self, capsys, tmp_path, fmt, sha256):
+        out = tmp_path / f"series.{fmt}"
+        code, _, _ = run(capsys, "simulate", "--head", "0.8,0.1", "--r", "0.5", "--M", "12",
+                         "--steps", "123457", "--seed", "4", "--format", fmt, "--out", str(out))
+        assert code == 0
+        blob = out.read_bytes()
+        assert hashlib.sha256(blob).hexdigest() == sha256
+        manifest = json.loads((tmp_path / f"series.{fmt}.manifest.json").read_text())
+        validate(manifest, "manifest.schema.json")
+        assert manifest["outputs"] == [{"path": out.name, "sha256": sha256, "bytes": len(blob)}]
+
     def test_thread_variable_is_ignored(self, capsys, tmp_path, monkeypatch):
         # simulation runs on one thread and reads no environment variable
         monkeypatch.setenv("RENEWAL_ARMA_THREADS", "abc")
@@ -187,7 +209,19 @@ def text_series(values, meta, fmt):
 def test_series_bytes_match_text_formatter(values):
     values = np.array(values, dtype=np.int64)
     for fmt in ("csv", "json"):
-        assert _series_bytes(values, SIM_META, fmt) == text_series(values, SIM_META, fmt).encode()
+        assert b"".join(_series_blocks(values, SIM_META, fmt)) == text_series(values, SIM_META, fmt).encode()
+
+
+@pytest.mark.parametrize("length", [1, 9, 10, 11, 99, 100, 101, 999, 1000, 1001,
+                                    10 ** 4, 10 ** 4 + 1, 123457])
+@pytest.mark.parametrize("top", [0, 1, 9, 10, 11, 1000, 2 ** 63 - 1])
+def test_long_series_bytes_match_text_formatter(length, top):
+    # counts of every width up to top's, in blocks that reach a 6-digit t
+    rng = np.random.default_rng([length, top % 1000])
+    values = rng.integers(0, top, length, endpoint=True) // 10 ** rng.integers(0, len(str(top)), length)
+    values[rng.integers(length)] = top
+    for fmt in ("csv", "json"):
+        assert b"".join(_series_blocks(values, SIM_META, fmt)) == text_series(values, SIM_META, fmt).encode()
 
 
 class TestVerify:
@@ -249,6 +283,14 @@ class TestVerify:
         with pytest.raises(SystemExit) as exc:
             main(["verify"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("level", ["quick", "full"])
+    @pytest.mark.parametrize("seed", [-1, 2 ** 64])
+    def test_seed_out_of_range(self, capsys, level, seed):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--head", "0.2,0.3", "--r", "0.6", "--level", level, "--seed", str(seed)])
+        assert exc.value.code == 2
+        assert "error: --seed" in capsys.readouterr().err
 
 
 class TestMarkov:
