@@ -35,6 +35,7 @@ from .polynomials import (
 
 K_CROSS_CHECK_RTOL = 1e-9
 COMMON_ROOT_TOL = 1e-8
+CIRCLE_POINTS = 64
 
 
 @dataclass(frozen=True)
@@ -182,14 +183,13 @@ def gen_eval_arma(model: ArmaModel, z: complex) -> complex:
 @dataclass(frozen=True)
 class CausalityReport:
     """Roots of the AR and MA polynomials, their moduli and the smallest AR/MA root
-    distance; ``passes`` means every root lies farther than ``tol`` outside the unit circle."""
+    distance; ``passes`` means every root lies farther than ``TOL_CIRCLE`` outside the unit circle."""
 
     ar_roots: tuple[complex, ...]
     ma_roots: tuple[complex, ...]
     ar_root_moduli: tuple[float, ...]
     ma_root_moduli: tuple[float, ...]
     min_root_gap: float
-    tol: float
     passes: bool
 
 
@@ -202,7 +202,7 @@ def check_causal_invertible(model: ArmaModel) -> CausalityReport:
                           for p in (phi_poly(model), theta_poly(model)))
     ar_mod, ma_mod = (tuple(float(abs(z)) for z in zs) for zs in (ar_roots, ma_roots))
     gap = min((abs(a - b) for a in ar_roots for b in ma_roots), default=math.inf)
-    report = CausalityReport(ar_roots, ma_roots, ar_mod, ma_mod, gap, TOL_CIRCLE,
+    report = CausalityReport(ar_roots, ma_roots, ar_mod, ma_mod, gap,
                              passes=all(m > 1.0 + TOL_CIRCLE for m in ar_mod + ma_mod))
     object.__setattr__(model, "_causality", report)
     return report
@@ -215,7 +215,7 @@ def validate_model(model: ArmaModel) -> None:
     report = check_causal_invertible(model)
     for part, zs in (("AR", report.ar_roots), ("MA", report.ma_roots)):
         for z in zs:
-            if abs(z) <= 1.0 + report.tol:
+            if abs(z) <= 1.0 + TOL_CIRCLE:
                 raise FactorizationError(f"{part} root {z} not outside the unit circle")
     for a in report.ar_roots:
         for b in report.ma_roots:
@@ -223,27 +223,20 @@ def validate_model(model: ArmaModel) -> None:
                 raise FactorizationError(f"AR and MA parts share the root {a}")
 
 
-def second_moment_limit(pgf: RationalPGF, eps: tuple[float, float] = (1e-3, 1e-4)) -> float:
+def second_moment_limit(pgf: RationalPGF) -> float:
     """Limit of ``(1 - F(z)F(1/z)) / ((1-z)(1-1/z))`` as z -> 1; equals Var[L].
 
-    Evaluated at z = 1 + eps and Richardson-extrapolated in the symmetric
-    variable ``s = (z-1)**2 / z``: the ratio is invariant under z -> 1/z, so
-    its expansion around z = 1 has no odd terms in s, and one linear-in-s
-    extrapolation step removes the entire leading error.
+    With ``F = P/Q`` the ratio is ``D(z) / (Q(z)Q(1/z))``, where ``D`` is the
+    spectral numerator that :func:`factorize` splits, so the limit is exactly
+    ``D(1) / Q(1)**2``.
     """
-    ss, hs = [], []
-    for e in eps:
-        z = 1.0 + e
-        h = (1.0 - pgf(z) * pgf(1.0 / z)) / ((1.0 - z) * (1.0 - 1.0 / z))
-        ss.append((z - 1.0) ** 2 / z)
-        hs.append(h)
-    (s1, s2), (h1, h2) = ss, hs
-    return (s1 * h2 - s2 * h1) / (s1 - s2)
+    d = divide_sym_by_unit_pair(sym_product_diff(pgf.num, pgf.den))
+    return d(1.0) / pgf.den(1.0) ** 2
 
 
-def unit_circle_grid(n: int = 64) -> np.ndarray:
-    """Grid points exp(2 pi i j / n) for j = 1..n-1 (z = 1 excluded)."""
-    return np.exp(2j * np.pi * np.arange(1, n) / n)
+def unit_circle_grid() -> np.ndarray:
+    """Grid points exp(2 pi i j / n) for j = 1..n-1 (z = 1 excluded), n = ``CIRCLE_POINTS``."""
+    return np.exp(2j * np.pi * np.arange(1, CIRCLE_POINTS) / CIRCLE_POINTS)
 
 
 def model_to_dict(model: ArmaModel) -> dict:
@@ -260,12 +253,15 @@ def model_to_dict(model: ArmaModel) -> dict:
 def model_from_dict(obj: dict) -> ArmaModel:
     """Deserialize without validating; run :func:`validate_model` to gate it."""
     try:
+        mu = float(obj["mu"])
+        if mu == 0.0:  # sigma2 = k * M / mu
+            raise ValueError("mu must be nonzero")
         return ArmaModel(
             phi=tuple(float(x) for x in obj["phi"]),
             theta=tuple(float(x) for x in obj["theta"]),
             k=float(obj["k"]),
             M=int(obj["M"]),
-            mu=float(obj["mu"]),
+            mu=mu,
             sigma2=float(obj["sigma2"]) if obj.get("sigma2") is not None else None,
         )
     except (KeyError, TypeError, ValueError) as e:

@@ -339,9 +339,7 @@ def cmd_verify(parser, args) -> int:
             except ValueError as e:  # also a file that is not UTF-8 text
                 raise ValidationError(f"malformed model JSON: {e}") from None
         payload = obj.get("model", obj) if isinstance(obj, dict) else obj
-        model = model_from_dict(payload)
-        declared = payload.get("sigma2")
-        gates += verify_model(model, spec=spec, declared_sigma2=declared)
+        gates += verify_model(model_from_dict(payload), spec=spec)
     elif spec is not None:
         gates = verify_spec(spec, M=M, level=level, seed=seed)
     else:

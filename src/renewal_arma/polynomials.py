@@ -28,6 +28,8 @@ TOL_ZERO_AT_ONE = 1e-10
 TOL_CIRCLE = 1e-8
 TOL_RESID = 1e-10
 PAIRING_TOL = 1e-6
+NEWTON_STEPS = 2
+POSITIVITY_GRID = 128  # circle points at which a spectral numerator must be positive
 
 
 def _trim(coeffs) -> tuple[float, ...]:
@@ -37,9 +39,10 @@ def _trim(coeffs) -> tuple[float, ...]:
     top = max((abs(x) for x in c), default=0.0)
     if top == 0.0:
         return ()
-    cut = TRIM_REL * top
+    # Compare ratios, not ``TRIM_REL * top``: for a subnormal ``top`` that
+    # product underflows to 0 and trailing zeros would survive the trim.
     end = len(c)
-    while end > 0 and abs(c[end - 1]) < cut:
+    while end > 0 and abs(c[end - 1]) / top < TRIM_REL:
         end -= 1
     return tuple(c[:end])
 
@@ -146,12 +149,12 @@ def rational_series(num: Poly, den: Poly, terms: int) -> np.ndarray:
     return y
 
 
-def roots(p: Poly, tol_resid: float = TOL_RESID) -> list[complex]:
+def roots(p: Poly) -> list[complex]:
     """All complex roots of ``p``, with conjugate pairs exactly conjugate.
 
-    Eigenvalues of the balanced companion matrix, polished by two Newton steps,
-    then conjugate-symmetrized.  Raises if any residual exceeds
-    ``tol_resid * sum|c| * max(1, |root|)**degree``.
+    Eigenvalues of the balanced companion matrix, polished by ``NEWTON_STEPS``
+    Newton steps, then conjugate-symmetrized.  Raises if any residual exceeds
+    ``TOL_RESID * sum|c| * max(1, |root|)**degree``.
     """
     if p.degree < 1:
         raise ValueError("no roots of a constant")
@@ -168,7 +171,7 @@ def roots(p: Poly, tol_resid: float = TOL_RESID) -> list[complex]:
     out = _symmetrize_conjugates(polished)
     scale = float(np.sum(np.abs(c)))
     for r in out:
-        bound = tol_resid * scale * max(1.0, abs(r)) ** n
+        bound = TOL_RESID * scale * max(1.0, abs(r)) ** n
         if abs(_horner(p.coeffs, r)) > bound:
             raise FactorizationError(
                 f"root residual {abs(_horner(p.coeffs, r)):.3e} exceeds {bound:.3e}; "
@@ -177,11 +180,11 @@ def roots(p: Poly, tol_resid: float = TOL_RESID) -> list[complex]:
     return out
 
 
-def _newton_polish(coeffs, dcoeffs, z: complex, steps: int = 2) -> complex:
+def _newton_polish(coeffs, dcoeffs, z: complex) -> complex:
     # Near a multiple root both f and f' are rounding-level small and their
     # ratio is noise, so a step is accepted only if it shrinks the residual.
     fz = _horner(coeffs, z)
-    for _ in range(steps):
+    for _ in range(NEWTON_STEPS):
         dfz = _horner(dcoeffs, z)
         if dfz == 0:
             break
@@ -215,14 +218,14 @@ def _symmetrize_conjugates(zs: list[complex]) -> list[complex]:
     return out
 
 
-def deflate_at_one(p: Poly, tol_zero_at_one: float = TOL_ZERO_AT_ONE) -> Poly:
+def deflate_at_one(p: Poly) -> Poly:
     """Divide out the factor ``(1 - z)`` by synthetic division.
 
-    Requires ``|p(1)| <= tol_zero_at_one * sum|c|``; the discarded remainder of
+    Requires ``|p(1)| <= TOL_ZERO_AT_ONE * sum|c|``; the discarded remainder of
     the division equals ``p(1)``.
     """
     scale = sum(abs(x) for x in p.coeffs)
-    if abs(p(1.0)) > tol_zero_at_one * scale:
+    if abs(p(1.0)) > TOL_ZERO_AT_ONE * scale:
         raise FactorizationError("no zero at z=1")
     if p.degree < 1:
         return Poly(())
@@ -243,7 +246,7 @@ def sym_product_diff(P: Poly, Q: Poly) -> SymLaurent:
     return SymLaurent(tuple(out))
 
 
-def divide_sym_by_unit_pair(n: SymLaurent, tol_zero_at_one: float = TOL_ZERO_AT_ONE) -> SymLaurent:
+def divide_sym_by_unit_pair(n: SymLaurent) -> SymLaurent:
     """Divide ``n`` by ``(2 - z - 1/z) = (1 - z)(1 - 1/z)``.
 
     ``n`` must vanish at z = 1; by symmetry that zero is automatically a double
@@ -253,7 +256,7 @@ def divide_sym_by_unit_pair(n: SymLaurent, tol_zero_at_one: float = TOL_ZERO_AT_
     """
     scale = sum(abs(x) for x in n.c)
     at_one = (n.c[0] + 2.0 * sum(n.c[1:])) if n.c else 0.0
-    if abs(at_one) > tol_zero_at_one * scale:
+    if abs(at_one) > TOL_ZERO_AT_ONE * scale:
         raise FactorizationError("numerator lacks (1-z)(1-1/z) factor")
     d = n.degree
     if d <= 0:
@@ -266,11 +269,7 @@ def divide_sym_by_unit_pair(n: SymLaurent, tol_zero_at_one: float = TOL_ZERO_AT_
     return SymLaurent(tuple(0.5 * (g[mid - h] + g[mid + h]) for h in range(d)))
 
 
-def factor_outside(
-    d: SymLaurent,
-    tol_circle: float = TOL_CIRCLE,
-    grid: int = 128,
-) -> tuple[Poly, float]:
+def factor_outside(d: SymLaurent) -> tuple[Poly, float]:
     """Factor ``d(z) = k * theta(z) * theta(1/z)`` with theta-roots outside the circle.
 
     ``d`` must be strictly positive on the unit circle.  The ordinary
@@ -282,7 +281,7 @@ def factor_outside(
     """
     if not d.c:
         raise FactorizationError("not a valid symmetric spectral density")
-    ts = 2.0 * np.pi * np.arange(1, grid + 1) / grid
+    ts = 2.0 * np.pi * np.arange(1, POSITIVITY_GRID + 1) / POSITIVITY_GRID
     vals = d.on_circle(ts)
     if np.any(vals <= 0.0):
         raise FactorizationError("not a valid symmetric spectral density")
@@ -292,7 +291,7 @@ def factor_outside(
     ordinary = Poly(tuple(reversed(d.c)) + tuple(d.c[1:]))
     rts = roots(ordinary)
     for r in rts:
-        if abs(abs(r) - 1.0) < tol_circle:
+        if abs(abs(r) - 1.0) < TOL_CIRCLE:
             raise FactorizationError("zero on unit circle: lifetime may be lattice or input invalid")
     unmatched = list(rts)
     outside = []

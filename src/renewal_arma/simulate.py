@@ -119,22 +119,15 @@ def delay_law(spec: LifetimeSpec) -> DrawLaw:
     return DrawLaw.of([spec.survival(j) / mu for j in range(spec.p + 1)], spec.r, spec.r == 0.0, 0)
 
 
-def sample_lifetimes(spec: LifetimeSpec, n: int, rng: np.random.Generator,
-                     law: DrawLaw | None = None) -> np.ndarray:
-    """Draw n lifetimes; ``law`` is ``lifetime_law(spec)``, passed by callers that draw repeatedly."""
-    return (law if law is not None else lifetime_law(spec)).draw(n, rng)
-
-
-def sample_equilibrium_delays(spec: LifetimeSpec, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw n equilibrium delays, the law that makes the delayed chain stationary."""
-    return delay_law(spec).draw(n, rng)
+def sample_lifetimes(law: DrawLaw, n: int, rng: np.random.Generator) -> np.ndarray:
+    """Draw n lifetimes from ``law``, a :func:`lifetime_law`; every batch of lifetimes goes through here."""
+    return law.draw(n, rng)
 
 
 @dataclass(frozen=True)
 class ChainLaws:
     """Everything one chain draws from, computed once per spec."""
 
-    spec: LifetimeSpec
     lifetime: DrawLaw
     delay: DrawLaw
     mu: float
@@ -144,7 +137,7 @@ class ChainLaws:
     def of(cls, spec: LifetimeSpec) -> "ChainLaws":
         mu = spec.mean()
         sd = math.sqrt(max(spec.variance(), 0.0) / mu ** 3)
-        return cls(spec, lifetime_law(spec), delay_law(spec), mu, sd)
+        return cls(lifetime_law(spec), delay_law(spec), mu, sd)
 
     def batch(self, span: int) -> int:
         """Lifetimes to draw for ``span`` steps: the mean count plus four sd, so a
@@ -166,7 +159,7 @@ def chain_epochs(laws: ChainLaws, steps: int, rng: np.random.Generator) -> np.nd
     parts = [np.array([t], dtype=np.int64)]
     while True:
         # through the module attribute, where perfbench's tracer counts lifetimes drawn
-        ep = sample_lifetimes(laws.spec, laws.batch(steps - t), rng, laws.lifetime)
+        ep = sample_lifetimes(laws.lifetime, laws.batch(steps - t), rng)
         ep[0] += t
         np.cumsum(ep, out=ep)
         if ep[-1] >= steps:

@@ -106,7 +106,7 @@ def analytic_gates(spec: LifetimeSpec, M: int) -> list[GateResult]:
 
     model = factorize(pgf, M)
 
-    grid = unit_circle_grid(64)
+    grid = unit_circle_grid()
     rel = max(
         abs(gen_eval_arma(model, z) - gen_eval_renewal(pgf, M, mu, z)) / abs(gen_eval_renewal(pgf, M, mu, z))
         for z in grid
@@ -145,7 +145,7 @@ def analytic_gates(spec: LifetimeSpec, M: int) -> list[GateResult]:
                          "closed-form AR(2)/MA(1) coefficients vs numeric factorization"))
 
     out.append(_gate("variance_limit", abs(second_moment_limit(pgf) - var_l), 1e-6,
-                     "extrapolated generating-function limit vs Var[L]"))
+                     "exact generating-function limit D(1)/Q(1)^2 vs Var[L]"))
 
     deflate_check = (Poly((1.0, -1.0)) * Poly((1.0,) + tuple(-c for c in model.phi))).scale(pgf.den.coeffs[0])
     residual = max(
@@ -286,14 +286,13 @@ def _markov_gates(spec: LifetimeSpec, M: int, seed: int, series) -> list[GateRes
     return out
 
 
-def verify_model(model, spec: LifetimeSpec | None = None, declared_sigma2: float | None = None) -> list[GateResult]:
+def verify_model(model, spec: LifetimeSpec | None = None) -> list[GateResult]:
     """Gates for a deserialized model: causality, invertibility, consistency."""
     out = [_causal_gate(check_causal_invertible(model))]
     out.append(_gate("positive_constants", min(model.k, model.sigma2), 0.0,
                      "k and sigma2 must be positive", larger_is_better=True))
-    sigma2 = declared_sigma2 if declared_sigma2 is not None else model.sigma2
-    out.append(_gate("sigma2_consistency", abs(sigma2 - model.k * model.M / model.mu),
-                     1e-12 * max(abs(sigma2), 1.0), "sigma2 equals k*M/mu"))
+    out.append(_gate("sigma2_consistency", abs(model.sigma2 - model.k * model.M / model.mu),
+                     1e-12 * max(abs(model.sigma2), 1.0), "sigma2 equals k*M/mu"))
     if spec is not None:
         gamma = acvf_renewal(spec, model.M, 50)
         try:

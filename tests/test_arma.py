@@ -1,5 +1,6 @@
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from renewal_arma import (
 )
 from renewal_arma.arma import phi_poly, theta_poly
 from renewal_arma.polynomials import roots
-from conftest import make_battery
+from conftest import dirichlet_specs, make_battery
 
 
 def p2_oracle_theta(f1, f2, r):
@@ -33,6 +34,17 @@ def p2_oracle_theta(f1, f2, r):
     center = f1 * f2 * (1 - r) ** 2 + f1 * f3 * (2 - r) + r * (1 - f1 ** 2 - f2 ** 2) + f2 * f3
     a1 = (-center - math.sqrt(center ** 2 - 4 * side ** 2)) / (2 * side)
     return -1.0 / a1
+
+
+def exact_variance(spec) -> Fraction:
+    """Var[L] in rational arithmetic from the head, r and the geometric tail sums."""
+    head, r = [Fraction(f) for f in spec.head], Fraction(spec.r)
+    tail = (1 - r) * (1 - sum(head))  # f_{p+1}; then f_{p+1+k} = tail * r**k
+    a = len(head) + 1
+    s0, s1, s2 = 1 / (1 - r), r / (1 - r) ** 2, r * (1 + r) / (1 - r) ** 3  # sum of k**j r**k
+    m1 = sum(n * f for n, f in enumerate(head, 1)) + tail * (a * s0 + s1)
+    m2 = sum(n * n * f for n, f in enumerate(head, 1)) + tail * (a * a * s0 + 2 * a * s1 + s2)
+    return m2 - m1 * m1
 
 
 class TestFactorize:
@@ -164,7 +176,7 @@ class TestGenEvalArma:
                 assert abs(val.imag) < 1e-10 * abs(val)
 
     def test_identity_battery(self):
-        grid = unit_circle_grid(64)
+        grid = unit_circle_grid()
         for p, spec in make_battery(7, per_p=4):
             pgf, mu = spec.pgf(), spec.mean()
             model = factorize(pgf, 4)
@@ -207,6 +219,19 @@ class TestSecondMomentLimit:
     def test_battery(self, small_battery):
         for _, spec in small_battery:
             assert abs(second_moment_limit(spec.pgf()) - spec.variance()) < 1e-6
+
+    @pytest.mark.parametrize("head", [(0.2, 0.3), ()])
+    @pytest.mark.parametrize("r", [0.99, 0.999, 0.9999])
+    def test_exact_near_unit_tail_rate(self, head, r):
+        # Var[L] grows like 1/(1 - r)**2 here, so only a limit read exactly at z = 1 stays within 1e-12
+        spec = make_constant_hazard(head, r)
+        want = exact_variance(spec)
+        assert abs(Fraction(second_moment_limit(spec.pgf())) - want) <= Fraction(1e-12) * want
+
+    def test_dirichlet_battery(self):
+        for spec in dirichlet_specs(5, ps=(1, 2, 3, 5, 10, 20, 30, 40, 60), per_p=20):
+            var_l = spec.variance()
+            assert abs(second_moment_limit(spec.pgf()) - var_l) <= 1e-12 * var_l
 
 
 class TestSerialization:

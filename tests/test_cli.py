@@ -265,6 +265,27 @@ class TestVerify:
         assert code == 0
         assert "acvf_identity" in out2
 
+    def test_string_sigma2_is_gated_as_number(self, capsys, tmp_path):
+        model_path = tmp_path / "model.json"
+        model_path.write_text(json.dumps({
+            "phi": [0.5], "theta": [], "k": 1.0, "M": 1, "mu": 2.0, "sigma2": "0.5"}))
+        code, out, _ = run(capsys, "verify", "--model", str(model_path))
+        assert code == 0
+        assert "[PASS] sigma2_consistency" in out
+
+    @pytest.mark.parametrize("sigma2", [{}, {"sigma2": 1.0}])
+    def test_zero_mu_is_malformed(self, capsys, tmp_path, sigma2):
+        model_path = tmp_path / "model.json"
+        model_path.write_text(json.dumps({"phi": [0.5], "theta": [], "k": 1.0, "M": 1, "mu": 0, **sigma2}))
+        code, _, err = run(capsys, "verify", "--model", str(model_path))
+        assert code == 3
+        assert err.startswith("error: malformed model JSON: ")
+
+    def test_near_unit_tail_rate_passes(self, capsys):
+        code, out, _ = run(capsys, "verify", "--head", "0.2,0.3", "--r", "0.99")
+        assert code == 0
+        assert "VERIFY: 16/16 gates passed" in out
+
     def test_malformed_model_file(self, capsys, tmp_path):
         model_path = tmp_path / "model.json"
         model_path.write_text("not json")

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from renewal_arma.errors import FactorizationError
@@ -52,6 +52,11 @@ class TestEval:
         p = Poly((0.0, 0.5, 0.0))
         assert p.coeffs == (0.0, 0.5)
         assert p.degree == 1
+
+    def test_trim_drops_zeros_below_subnormal_top(self):
+        # TRIM_REL * top underflows to 0 here; the zero must still go.
+        assert Poly((2.225073858507e-311, 0.0)).degree == 0
+        assert SymLaurent((2.225073858507e-311, 0.0)).c == (2.225073858507e-311,)
 
 
 class TestRoots:
@@ -172,6 +177,7 @@ class TestDivideSymByUnitPair:
             divide_sym_by_unit_pair(SymLaurent((1.0, -0.2)))
 
     @given(st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=5))
+    @example([2.225073858507e-311, 0.0])
     @settings(max_examples=80, deadline=None)
     def test_multiply_back(self, dc):
         d = SymLaurent(tuple(dc))

@@ -13,6 +13,7 @@ ROOT = Path(__file__).resolve().parents[1]
 @pytest.mark.parametrize("argv", [
     ["p2_walkthrough.py", "--steps", "10000"],
     ["battery_sweep.py", "--per-p", "3", "--max-p", "3"],
+    ["battery_sweep.py", "--per-p", "2", "--max-p", "20"],
 ])
 def test_script_runs(argv):
     path = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]

@@ -20,7 +20,6 @@ from renewal_arma.simulate import (
     ChainLaws,
     delay_law,
     lifetime_law,
-    sample_equilibrium_delays,
     sample_lifetimes,
 )
 from renewal_arma.errors import RenewalArmaError
@@ -36,15 +35,15 @@ class TestSampleLifetime:
     def test_scalar_draw_positive(self, p2_spec):
         rng = chain_rng(1, 0)
         for _ in range(100):
-            assert sample_lifetimes(p2_spec, 1, rng)[0] >= 1
+            assert sample_lifetimes(lifetime_law(p2_spec), 1, rng)[0] >= 1
 
     def test_moment_gate(self, geometric_spec):
-        draws = sample_lifetimes(geometric_spec, 10 ** 6, chain_rng(2, 0)).astype(float)
+        draws = sample_lifetimes(lifetime_law(geometric_spec), 10 ** 6, chain_rng(2, 0)).astype(float)
         assert abs(draws.mean() - 2.0) <= 3 * se_of_mean(draws)
 
     def test_pmf_gate(self, p2_spec):
         n = 10 ** 6
-        draws = sample_lifetimes(p2_spec, n, chain_rng(3, 0))
+        draws = sample_lifetimes(lifetime_law(p2_spec), n, chain_rng(3, 0))
         for value in range(1, 11):
             want = p2_spec.pmf(value)
             got = float(np.mean(draws == value))
@@ -53,7 +52,7 @@ class TestSampleLifetime:
 
     def test_finite_support_bound(self):
         spec = make_constant_hazard([0.3, 0.3], 0.0)
-        draws = sample_lifetimes(spec, 10 ** 5, chain_rng(4, 0))
+        draws = sample_lifetimes(lifetime_law(spec), 10 ** 5, chain_rng(4, 0))
         assert draws.max() <= 3
         assert draws.min() >= 1
 
@@ -61,18 +60,18 @@ class TestSampleLifetime:
 class TestEquilibriumDelay:
     def test_geometric_delay_law(self, geometric_spec):
         # b is geometric on {0, 1, ...} with rate 1/2, so the mean is 1
-        draws = sample_equilibrium_delays(geometric_spec, 10 ** 6, chain_rng(5, 0)).astype(float)
+        draws = delay_law(geometric_spec).draw(10 ** 6, chain_rng(5, 0)).astype(float)
         assert abs(draws.mean() - 1.0) <= 3 * se_of_mean(draws)
 
     def test_mass_at_zero(self, p2_spec):
         n = 10 ** 6
-        draws = sample_equilibrium_delays(p2_spec, n, chain_rng(6, 0))
+        draws = delay_law(p2_spec).draw(n, chain_rng(6, 0))
         want = 1 / 3.05
         se = math.sqrt(want * (1 - want) / n)
         assert abs(np.mean(draws == 0) - want) <= 3 * se
 
     def test_tail_ratio(self, p2_spec):
-        draws = sample_equilibrium_delays(p2_spec, 10 ** 6, chain_rng(7, 0))
+        draws = delay_law(p2_spec).draw(10 ** 6, chain_rng(7, 0))
         counts = np.bincount(draws)
         ratios = [counts[n + 1] / counts[n] for n in range(3, 7)]
         for ratio in ratios:
@@ -80,11 +79,11 @@ class TestEquilibriumDelay:
 
     def test_finite_support(self):
         spec = make_constant_hazard([0.9], 0.0)
-        draws = sample_equilibrium_delays(spec, 10 ** 5, chain_rng(8, 0))
+        draws = delay_law(spec).draw(10 ** 5, chain_rng(8, 0))
         assert draws.max() <= 1
 
     def test_single_draw(self, p2_spec):
-        assert sample_equilibrium_delays(p2_spec, 1, chain_rng(9, 0))[0] >= 0
+        assert delay_law(p2_spec).draw(1, chain_rng(9, 0))[0] >= 0
 
 
 class TestSimulateChain:

@@ -1,5 +1,7 @@
 import warnings
 
+import pytest
+
 from renewal_arma import make_constant_hazard
 from renewal_arma.verify import verify_spec
 
@@ -11,6 +13,13 @@ FULL_GATES_P2 = [
     "mc_marginal_mean", "mc_stationarity_thirds", "mc_acvf", "mc_binomial_marginal",
     "mc_joint_triples", "mc_conditionals", "mc_trivariate_mgf",
 ]
+
+
+@pytest.mark.parametrize("head", [(0.2, 0.3), ()])
+@pytest.mark.parametrize("r", [0.99, 0.999, 0.9999])
+def test_variance_limit_near_unit_tail_rate(head, r):
+    gates = {g.name: g for g in verify_spec(make_constant_hazard(head, r), level="quick")}
+    assert gates["variance_limit"].passed, gates["variance_limit"].line()
 
 
 def test_impossible_windows_pass_without_nan():
