@@ -57,9 +57,8 @@ def main():
                 failed += 1
                 continue
             orders.add((len(model.phi), len(model.theta)))
-            for z in grid[::3]:
-                ref = gen_eval_renewal(pgf, args.M, mu, z)
-                worst_id = max(worst_id, abs(gen_eval_arma(model, z) - ref) / abs(ref))
+            ref = gen_eval_renewal(pgf, args.M, mu, grid)
+            worst_id = max(worst_id, float(np.max(np.abs(gen_eval_arma(model, grid) - ref) / np.abs(ref))))
             worst_acvf = max(worst_acvf, float(np.max(np.abs(
                 arma_acvf(model, 50) - acvf_renewal(spec, args.M, 50)))))
             k2 = scale_constant(spec.variance(), pgf.den, theta_poly(model))

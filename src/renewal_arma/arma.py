@@ -168,16 +168,19 @@ def arma_acvf(model: ArmaModel, hmax: int) -> np.ndarray:
     return model.sigma2 * np.array([np.dot(psi[: length - h], psi[h:]) for h in range(hmax + 1)])
 
 
-def gen_eval_arma(model: ArmaModel, z: complex) -> complex:
-    """``sigma2 * theta(z) theta(1/z) / (phi(z) phi(1/z))`` at ``z``."""
-    z = complex(z)
-    if z == 0:
+def gen_eval_arma(model: ArmaModel, z):
+    """``sigma2 * theta(z) theta(1/z) / (phi(z) phi(1/z))`` at ``z``, a point
+    or an array of points; one singular point rejects the whole array."""
+    shape = np.shape(z)
+    # a point is evaluated as a one-point array, so it gets the bits it would get inside an array
+    z = np.asarray(z, dtype=complex).reshape(-1)
+    if np.any(z == 0):
         raise SingularEvaluationError("singular evaluation point")
     ar, ma = phi_poly(model), theta_poly(model)
     a, b = ar(z), ar(1.0 / z)
-    if abs(a) < 1e-12 or abs(b) < 1e-12:
+    if np.any(np.abs(a) < 1e-12) or np.any(np.abs(b) < 1e-12):
         raise SingularEvaluationError("pole of the generating function")
-    return model.sigma2 * ma(z) * ma(1.0 / z) / (a * b)
+    return (model.sigma2 * ma(z) * ma(1.0 / z) / (a * b)).reshape(shape)[()]
 
 
 @dataclass(frozen=True)
@@ -213,14 +216,13 @@ def validate_model(model: ArmaModel) -> None:
     if model.k <= 0.0 or model.sigma2 <= 0.0:
         raise FactorizationError("model constants must be positive")
     report = check_causal_invertible(model)
-    for part, zs in (("AR", report.ar_roots), ("MA", report.ma_roots)):
-        for z in zs:
-            if abs(z) <= 1.0 + TOL_CIRCLE:
-                raise FactorizationError(f"{part} root {z} not outside the unit circle")
-    for a in report.ar_roots:
-        for b in report.ma_roots:
-            if abs(a - b) < COMMON_ROOT_TOL:
-                raise FactorizationError(f"AR and MA parts share the root {a}")
+    if not report.passes:  # name the first root that fails the report's test
+        part, z = next((part, z) for part, zs in (("AR", report.ar_roots), ("MA", report.ma_roots))
+                       for z in zs if not abs(z) > 1.0 + TOL_CIRCLE)
+        raise FactorizationError(f"{part} root {z} not outside the unit circle")
+    if report.min_root_gap < COMMON_ROOT_TOL:
+        a = next(a for a in report.ar_roots for b in report.ma_roots if abs(a - b) == report.min_root_gap)
+        raise FactorizationError(f"AR and MA parts share the root {a}")
 
 
 def second_moment_limit(pgf: RationalPGF) -> float:
@@ -251,18 +253,18 @@ def model_to_dict(model: ArmaModel) -> dict:
 
 
 def model_from_dict(obj: dict) -> ArmaModel:
-    """Deserialize without validating; run :func:`validate_model` to gate it."""
+    """Deserialize without validating; run :func:`validate_model` to gate it.
+    Every number must be finite, ``M`` integral and ``mu`` nonzero."""
     try:
-        mu = float(obj["mu"])
+        phi, theta = (tuple(float(x) for x in obj[key]) for key in ("phi", "theta"))
+        k, mu, M = float(obj["k"]), float(obj["mu"]), float(obj["M"])
+        sigma2 = float(obj["sigma2"]) if obj.get("sigma2") is not None else None
+        if not all(math.isfinite(x) for x in phi + theta + (k, mu, sigma2 or 0.0)):
+            raise ValueError("phi, theta, k, mu and sigma2 must be finite")
+        if not M.is_integer():
+            raise ValueError(f"M must be an integer, got {obj['M']!r}")
         if mu == 0.0:  # sigma2 = k * M / mu
             raise ValueError("mu must be nonzero")
-        return ArmaModel(
-            phi=tuple(float(x) for x in obj["phi"]),
-            theta=tuple(float(x) for x in obj["theta"]),
-            k=float(obj["k"]),
-            M=int(obj["M"]),
-            mu=mu,
-            sigma2=float(obj["sigma2"]) if obj.get("sigma2") is not None else None,
-        )
+        return ArmaModel(phi=phi, theta=theta, k=k, M=int(M), mu=mu, sigma2=sigma2)
     except (KeyError, TypeError, ValueError) as e:
         raise ValidationError(f"malformed model JSON: {e}") from None

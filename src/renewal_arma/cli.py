@@ -2,8 +2,8 @@
 
 Exit codes: 0 success, 1 any other library error, 2 argument error (bad flag
 or config value, unreadable or unwritable path), 3 validation error
-(lattice/mass, non-finite input, malformed model file), 4
-numerical-factorization error, 5 verification-gate failure.
+(lattice/mass, non-finite input, malformed model file, an MGF that overflows),
+4 numerical-factorization error, 5 verification-gate failure.
 
 Every command is deterministic given its full argument vector (including the
 seed).  File outputs get a sidecar ``<out>.manifest.json`` carrying the
@@ -371,8 +371,8 @@ def cmd_markov(parser, args) -> int:
     evals = []
     for text in args.mgf or []:
         s = _csv_floats(text)
-        if len(s) != 3:
-            parser.error(f"--mgf needs three exponents, got {text!r}")
+        if len(s) != 3 or not all(math.isfinite(x) for x in s):
+            parser.error(f"--mgf needs three finite exponents, got {text!r}")
         evals.append({"s": s, "M": M, "value": mgf_trivariate(law, M, *s)})
     _emit({
         "schema_version": 1,

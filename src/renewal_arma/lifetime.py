@@ -60,6 +60,18 @@ class LifetimeSpec:
             return self.tail_first if n == self.p else 0.0
         return self.tail_first * self.r ** (n - self.p) / (1.0 - self.r)
 
+    def survivals(self, n: int) -> np.ndarray:
+        """P(L > j) for j = 0..n as an array: :meth:`survival`'s values, bit for bit
+        up to j = p; past p one vector power, which may differ from ``pow`` in the last bit."""
+        if n < 0:
+            raise ValueError("survival lags are nonnegative integers")
+        p = self.p
+        out = np.empty(n + 1)
+        out[:p] = [1.0 - math.fsum(self.head[:j]) for j in range(min(n + 1, p))]
+        # at r = 0 the tail is tail_first at p and zeros after it, since 0.0 ** 0 is 1
+        out[p:] = self.tail_first * self.r ** np.arange(n - p + 1) / (1.0 - self.r)
+        return out
+
     def hazard(self, k: int) -> float:
         """P(L = k | L >= k); equals 1 - r for every k >= p + 1."""
         if k <= 0:
@@ -90,12 +102,6 @@ class LifetimeSpec:
         s1 = r / (1.0 - r) ** 2
         s2 = r * (1.0 + r) / (1.0 - r) ** 3
         return head_part + self.tail_first * (s2 + (2 * p + 1) * s1 + p * (p + 1) * s0)
-
-    def equilibrium_pmf(self, n: int) -> float:
-        """Delay law b_n = P(L > n) / E[L] that makes the delayed process stationary."""
-        if n < 0:
-            raise ValueError("delays are nonnegative integers")
-        return self.survival(n) / self.mean()
 
     def pgf(self) -> "RationalPGF":
         """Probability generating function ``F(z) = num(z) / den(z)``.
@@ -161,10 +167,10 @@ class RationalPGF:
     den: Poly
 
     def __call__(self, z):
-        try:
-            return self.num(z) / self.den(z)
-        except ZeroDivisionError:
-            raise SingularEvaluationError("evaluation at a pole of the generating function") from None
+        den = self.den(z)
+        if np.any(den == 0):  # numpy division returns inf here rather than raising
+            raise SingularEvaluationError("evaluation at a pole of the generating function")
+        return self.num(z) / den
 
     def series(self, terms: int) -> np.ndarray:
         """Power-series coefficients ``P(L = 0), ..., P(L = terms - 1)`` of num/den."""

@@ -39,7 +39,7 @@ def age_chain(spec: LifetimeSpec) -> tuple[np.ndarray, np.ndarray]:
     An age a < p with P(L > a) = 0 is never reached; its hazard is set to 1.
     """
     p, mu = spec.p, spec.mean()
-    alive = np.array([spec.survival(a) for a in range(p + 1)])
+    alive = spec.survivals(p)
     hazard = np.ones(p + 1)
     np.divide(spec.head, alive[:p], out=hazard[:p], where=alive[:p] > 0.0)
     hazard[p] = 1.0 - spec.r
@@ -139,10 +139,16 @@ def mgf_trivariate(law: np.ndarray, M: int, s1: float, s2: float, s3: float) -> 
 
     ``law`` is the three-bit window law of one chain, which contributes the
     mixture sum_c law[c] * prod_{j: bit j of c} exp(s_{j+1}); superposing M
-    independent chains raises it to the M-th power.
+    independent chains raises it to the M-th power.  Raises
+    :class:`ValidationError` when that value overflows a float.
     """
     bits = (np.arange(8)[:, None] >> np.arange(3)) & 1
-    return math.fsum(law * np.where(bits, np.exp([s1, s2, s3]), 1.0).prod(axis=1)) ** M
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below
+        one_chain = math.fsum(law * np.where(bits, np.exp([s1, s2, s3]), 1.0).prod(axis=1))
+        value = float(np.float64(one_chain) ** M)
+    if not math.isfinite(value):
+        raise ValidationError(f"the MGF at exponents ({s1}, {s2}, {s3}) overflows a float for M = {M}")
+    return value
 
 
 @dataclass(frozen=True)

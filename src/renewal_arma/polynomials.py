@@ -152,70 +152,50 @@ def rational_series(num: Poly, den: Poly, terms: int) -> np.ndarray:
 def roots(p: Poly) -> list[complex]:
     """All complex roots of ``p``, with conjugate pairs exactly conjugate.
 
-    Eigenvalues of the balanced companion matrix, polished by ``NEWTON_STEPS``
-    Newton steps, then conjugate-symmetrized.  Raises if any residual exceeds
-    ``TOL_RESID * sum|c| * max(1, |root|)**degree``.
+    Eigenvalues of the balanced companion matrix; LAPACK returns each
+    conjugate pair exactly conjugate, upper member first.  The real ones and
+    the upper members are polished together by ``NEWTON_STEPS`` Newton steps;
+    the result is the real roots, then each pair ``(a, conj(a))``.  Raises if
+    any residual exceeds ``TOL_RESID * sum|c| * max(1, |root|)**degree``.
     """
     if p.degree < 1:
         raise ValueError("no roots of a constant")
     c = np.asarray(p.coeffs, dtype=float)
     n = p.degree
-    monic = c / c[-1]
-    comp = np.zeros((n, n))
-    if n > 1:
-        comp[np.arange(1, n), np.arange(0, n - 1)] = 1.0
-    comp[:, -1] = -monic[:n]
+    comp = np.diag(np.ones(n - 1), -1)
+    comp[:, -1] = -(c[:n] / c[-1])
     raw = np.atleast_1d(np.linalg.eigvals(comp)).astype(complex)
-    dc = p.derivative().coeffs
-    polished = [_newton_polish(p.coeffs, dc, z) for z in raw]
-    out = _symmetrize_conjugates(polished)
-    scale = float(np.sum(np.abs(c)))
-    for r in out:
-        bound = TOL_RESID * scale * max(1.0, abs(r)) ** n
-        if abs(_horner(p.coeffs, r)) > bound:
-            raise FactorizationError(
-                f"root residual {abs(_horner(p.coeffs, r)):.3e} exceeds {bound:.3e}; "
-                "polynomial too ill-conditioned to root reliably"
-            )
-    return out
+    top = raw[raw.imag >= 0.0]
+    real = top.imag == 0.0
+    z = _newton_polish(p.coeffs, p.derivative().coeffs, top)
+    upper = z[~real]
+    out = np.concatenate([z[real], np.stack([upper, upper.conj()], axis=1).ravel()])
+    with np.errstate(over="ignore", invalid="ignore"):
+        resid = np.abs(_horner(p.coeffs, out))
+        bound = TOL_RESID * np.sum(np.abs(c)) * np.maximum(1.0, np.abs(out)) ** n
+        excess = np.where(resid > bound, resid / bound, 0.0)
+    if excess.any():
+        worst = int(np.argmax(excess))
+        raise FactorizationError(
+            f"root residual {resid[worst]:.3e} exceeds {bound[worst]:.3e} at the root {out[worst]:.6g}; "
+            "polynomial too ill-conditioned to root reliably"
+        )
+    return out.tolist()
 
 
-def _newton_polish(coeffs, dcoeffs, z: complex) -> complex:
+def _newton_polish(coeffs, dcoeffs, z: np.ndarray) -> np.ndarray:
     # Near a multiple root both f and f' are rounding-level small and their
-    # ratio is noise, so a step is accepted only if it shrinks the residual.
+    # ratio is noise, so a step is kept only where it shrinks the residual;
+    # a root whose step was refused stays put, so later steps refuse it too.
     fz = _horner(coeffs, z)
-    for _ in range(NEWTON_STEPS):
-        dfz = _horner(dcoeffs, z)
-        if dfz == 0:
-            break
-        step = fz / dfz
-        if not (math.isfinite(step.real) and math.isfinite(step.imag)):
-            break
-        cand = z - step
-        fcand = _horner(coeffs, cand)
-        if abs(fcand) >= abs(fz):
-            break
-        z, fz = cand, fcand
+    with np.errstate(all="ignore"):  # a zero f' gives a non-finite step, refused below
+        for _ in range(NEWTON_STEPS):
+            cand = z - fz / _horner(dcoeffs, z)
+            fcand = _horner(coeffs, cand)
+            shrank = np.abs(fcand) < np.abs(fz)
+            z = np.where(shrank, cand, z)
+            fz = np.where(shrank, fcand, fz)
     return z
-
-
-def _symmetrize_conjugates(zs: list[complex]) -> list[complex]:
-    # Real companion matrices give exactly conjugate eigenvalue pairs and
-    # exactly real single eigenvalues; averaging each matched pair restores
-    # exact symmetry after the Newton polish.
-    out = [z for z in zs if z.imag == 0.0]
-    pos = [z for z in zs if z.imag > 0.0]
-    neg = [z for z in zs if z.imag < 0.0]
-    for a in pos:
-        if neg:
-            j = min(range(len(neg)), key=lambda i: abs(neg[i].conjugate() - a))
-            b = neg.pop(j)
-            avg = 0.5 * (a + b.conjugate())
-            out.extend([avg, avg.conjugate()])
-        else:
-            out.append(a)
-    out.extend(neg)
-    return out
 
 
 def deflate_at_one(p: Poly) -> Poly:
@@ -290,9 +270,8 @@ def factor_outside(d: SymLaurent) -> tuple[Poly, float]:
 
     ordinary = Poly(tuple(reversed(d.c)) + tuple(d.c[1:]))
     rts = roots(ordinary)
-    for r in rts:
-        if abs(abs(r) - 1.0) < TOL_CIRCLE:
-            raise FactorizationError("zero on unit circle: lifetime may be lattice or input invalid")
+    if np.any(np.abs(np.abs(rts) - 1.0) < TOL_CIRCLE):
+        raise FactorizationError("zero on unit circle: lifetime may be lattice or input invalid")
     unmatched = list(rts)
     outside = []
     while unmatched:

@@ -30,7 +30,7 @@ def delayed_probs(spec: LifetimeSpec, N: int) -> np.ndarray:
     """``nu[0..N]`` for the equilibrium-delayed process; constantly 1/E[L]."""
     if N < 0:
         raise ValueError("horizon must be nonnegative")
-    b = np.array([spec.equilibrium_pmf(n) for n in range(N + 1)])
+    b = spec.survivals(N) / spec.mean()  # the equilibrium delay law b_n = P(L > n) / E[L]
     u = renewal_probs(spec, N)
     return np.convolve(b, u)[: N + 1]
 
@@ -44,18 +44,21 @@ def acvf_renewal(spec: LifetimeSpec, M: int, hmax: int) -> np.ndarray:
     return (M / mu) * (u - 1.0 / mu)
 
 
-def gen_eval_renewal(pgf: RationalPGF, M: int, mu: float, z: complex) -> complex:
-    """Autocovariance generating function of the count series at ``z``.
+def gen_eval_renewal(pgf: RationalPGF, M: int, mu: float, z):
+    """Autocovariance generating function of the count series at ``z``, a
+    point or an array of points.
 
     ``(M/mu) * (1 - F(z)F(1/z)) / ((1 - F(z))(1 - F(1/z)))`` with F = pgf.
     The point z = 1 is a removable singularity and is rejected, as are z = 0
-    and any pole of F.
+    and any pole of F; one such point rejects the whole array.
     """
-    z = complex(z)
-    if z == 0 or abs(z - 1.0) < 1e-12:
+    shape = np.shape(z)
+    # a point is evaluated as a one-point array, so it gets the bits it would get inside an array
+    z = np.asarray(z, dtype=complex).reshape(-1)
+    if np.any(z == 0) or np.any(np.abs(z - 1.0) < 1e-12):
         raise SingularEvaluationError("singular evaluation point")
     fz = pgf(z)
     fw = pgf(1.0 / z)
-    if abs(1.0 - fz) < 1e-14 or abs(1.0 - fw) < 1e-14:
+    if np.any(np.abs(1.0 - fz) < 1e-14) or np.any(np.abs(1.0 - fw) < 1e-14):
         raise SingularEvaluationError("singular evaluation point")
-    return (M / mu) * (1.0 - fz * fw) / ((1.0 - fz) * (1.0 - fw))
+    return ((M / mu) * (1.0 - fz * fw) / ((1.0 - fz) * (1.0 - fw))).reshape(shape)[()]

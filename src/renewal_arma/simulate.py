@@ -115,8 +115,7 @@ def lifetime_law(spec: LifetimeSpec) -> DrawLaw:
 
 def delay_law(spec: LifetimeSpec) -> DrawLaw:
     """b_j = P(L > j)/E[L]; beyond lag p the tail of b is geometric with ratio r."""
-    mu = spec.mean()
-    return DrawLaw.of([spec.survival(j) / mu for j in range(spec.p + 1)], spec.r, spec.r == 0.0, 0)
+    return DrawLaw.of(spec.survivals(spec.p) / spec.mean(), spec.r, spec.r == 0.0, 0)
 
 
 def sample_lifetimes(law: DrawLaw, n: int, rng: np.random.Generator) -> np.ndarray:

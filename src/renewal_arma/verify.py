@@ -22,6 +22,7 @@ import numpy as np
 from scipy import stats
 
 from .arma import (
+    COMMON_ROOT_TOL,
     arma_acvf,
     check_causal_invertible,
     closed_form_p2,
@@ -35,7 +36,7 @@ from .arma import (
 from .errors import RenewalArmaError
 from .lifetime import LifetimeSpec
 from .markov import context_hazards, mgf_trivariate, step_pair_law, window_law, window_marginals
-from .polynomials import Poly
+from .polynomials import TOL_CIRCLE, Poly
 from .renewal import acvf_renewal, delayed_probs, gen_eval_renewal
 from .simulate import (
     SimConfig,
@@ -72,7 +73,7 @@ def _gate(name, measured, threshold, detail="", larger_is_better=False):
 
 def _causal_gate(report) -> GateResult:
     min_mod = min(report.ar_root_moduli + report.ma_root_moduli, default=math.inf)
-    return _gate("causal_invertible", min_mod, 1.0 + 1e-8,
+    return _gate("causal_invertible", min_mod, 1.0 + TOL_CIRCLE,
                  "min root modulus of AR and MA polynomials", larger_is_better=True)
 
 
@@ -107,10 +108,8 @@ def analytic_gates(spec: LifetimeSpec, M: int) -> list[GateResult]:
     model = factorize(pgf, M)
 
     grid = unit_circle_grid()
-    rel = max(
-        abs(gen_eval_arma(model, z) - gen_eval_renewal(pgf, M, mu, z)) / abs(gen_eval_renewal(pgf, M, mu, z))
-        for z in grid
-    )
+    renewal_side = gen_eval_renewal(pgf, M, mu, grid)
+    rel = np.max(np.abs(gen_eval_arma(model, grid) - renewal_side) / np.abs(renewal_side))
     out.append(_gate("generating_function_identity", rel, 1e-9,
                      "ARMA vs renewal form on 64 circle points"))
 
@@ -133,7 +132,7 @@ def analytic_gates(spec: LifetimeSpec, M: int) -> list[GateResult]:
 
     report = check_causal_invertible(model)
     out.append(_causal_gate(report))
-    out.append(_gate("no_common_roots", report.min_root_gap, 1e-8, "min AR/MA root separation",
+    out.append(_gate("no_common_roots", report.min_root_gap, COMMON_ROOT_TOL, "min AR/MA root separation",
                      larger_is_better=True))
 
     if spec.p == 2:

@@ -8,6 +8,7 @@ import pytest
 from renewal_arma import (
     ArmaModel,
     FactorizationError,
+    SingularEvaluationError,
     acvf_renewal,
     arma_acvf,
     check_causal_invertible,
@@ -185,6 +186,24 @@ class TestGenEvalArma:
                 assert abs(gen_eval_arma(model, z) - gr) <= 1e-9 * abs(gr)
 
 
+    def test_array_matches_points(self, small_battery):
+        grid = unit_circle_grid()
+        for _, spec in small_battery:
+            model = factorize(spec.pgf(), 3)
+            points = np.array([gen_eval_arma(model, z) for z in grid])
+            assert np.max(np.abs(gen_eval_arma(model, grid) - points) / np.abs(points)) <= 1e-15
+
+    @pytest.mark.parametrize("where", [0, 31, 62])
+    def test_one_singular_point_rejects_array(self, p2_spec, where):
+        model = factorize(p2_spec.pgf(), 5)
+        pole = check_causal_invertible(model).ar_roots[0]
+        for bad in (0.0, pole):
+            z = unit_circle_grid()
+            z[where] = bad
+            with pytest.raises(SingularEvaluationError):
+                gen_eval_arma(model, z)
+
+
 class TestCausalInvertible:
     def test_factorized_model_passes(self, p2_spec):
         report = check_causal_invertible(factorize(p2_spec.pgf(), 5))
@@ -202,6 +221,12 @@ class TestCausalInvertible:
         report = check_causal_invertible(model)
         assert report.ma_root_moduli == ()
         assert report.passes
+
+    @pytest.mark.parametrize("phi,theta,part", [((1.5,), (), "AR root"), ((0.5,), (0.1, -1.2), "MA root")])
+    def test_validate_names_root_inside_circle(self, phi, theta, part):
+        model = ArmaModel(phi=phi, theta=theta, k=1.0, M=1, mu=1.0)
+        with pytest.raises(FactorizationError, match=f"{part} .* not outside the unit circle"):
+            validate_model(model)
 
     def test_validate_rejects_common_root(self):
         model = ArmaModel(phi=(0.5,), theta=(-0.5,), k=1.0, M=1, mu=1.0)

@@ -281,6 +281,18 @@ class TestVerify:
         assert code == 3
         assert err.startswith("error: malformed model JSON: ")
 
+    @pytest.mark.parametrize("key,text", [
+        ("phi", "[NaN]"), ("phi", "[1e400]"), ("theta", "[-Infinity]"), ("k", "Infinity"),
+        ("mu", "NaN"), ("sigma2", "NaN"), ("sigma2", "1e400"), ("M", "1.5"),
+    ])
+    def test_non_finite_or_fractional_number_is_malformed(self, capsys, tmp_path, key, text):
+        fields = {"phi": "[0.5]", "theta": "[]", "k": "1.0", "M": "1", "mu": "2.0", key: text}
+        model_path = tmp_path / "model.json"
+        model_path.write_text("{" + ", ".join(f'"{k}": {v}' for k, v in fields.items()) + "}")
+        code, _, err = run(capsys, "verify", "--model", str(model_path))
+        assert code == 3
+        assert err.startswith("error: malformed model JSON: ")
+
     def test_near_unit_tail_rate_passes(self, capsys):
         code, out, _ = run(capsys, "verify", "--head", "0.2,0.3", "--r", "0.99")
         assert code == 0
@@ -334,6 +346,22 @@ class TestMarkov:
         with pytest.raises(SystemExit) as exc:
             main(["markov", "--head", "0.2,0.3", "--r", "0.6", "--mgf", "0,0"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("triplet", ["nan,0,0", "0,inf,0", "0,0,-inf"])
+    def test_non_finite_mgf_exponent(self, capsys, triplet):
+        with pytest.raises(SystemExit) as exc:
+            main(["markov", "--head", "0.2,0.3", "--r", "0.6", "--mgf", triplet])
+        assert exc.value.code == 2
+        assert "finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("triplet", ["1000,1000,1000", "100,100,100"])
+    def test_overflowing_mgf(self, capsys, triplet):
+        # exp(1000) overflows in numpy; exp(300)**5 overflows in the M-th power
+        code, out, err = run(capsys, "markov", "--head", "0.2,0.3", "--r", "0.6", "--M", "5",
+                             "--mgf", triplet)
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: the MGF at exponents") and "overflows" in err
 
 
 class TestConfigFile:

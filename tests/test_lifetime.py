@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -213,14 +214,16 @@ class TestMakeRationalPgf:
 
 
 class TestEquilibrium:
+    """The equilibrium delay law b_n = P(L > n) / E[L], read off ``survivals``."""
+
     def test_geometric_at_zero(self, geometric_spec):
-        assert geometric_spec.equilibrium_pmf(0) == pytest.approx(0.5)
+        assert geometric_spec.survivals(0)[0] / geometric_spec.mean() == pytest.approx(0.5)
 
     def test_geometric_at_two(self, geometric_spec):
-        assert geometric_spec.equilibrium_pmf(2) == pytest.approx(0.125)
+        assert geometric_spec.survivals(2)[2] / geometric_spec.mean() == pytest.approx(0.125)
 
     def test_normalization(self, p2_spec):
-        head = math.fsum(p2_spec.equilibrium_pmf(n) for n in range(500))
+        head = math.fsum(p2_spec.survivals(499) / p2_spec.mean())
         # closed-form remainder of the geometric tail of b
         mu, r, p = p2_spec.mean(), p2_spec.r, p2_spec.p
         tail = p2_spec.tail_first * r ** (500 - p) / ((1 - r) ** 2 * mu)
@@ -228,7 +231,25 @@ class TestEquilibrium:
 
     def test_negative_rejected(self, p2_spec):
         with pytest.raises(ValueError):
-            p2_spec.equilibrium_pmf(-1)
+            p2_spec.survivals(-1)
+
+
+class TestSurvivals:
+    @pytest.mark.parametrize("head,r", [
+        ((), 0.5), ((), 0.9999), ((0.2, 0.3), 0.0), ((0.2, 0.3), 0.6), ((0.1, 0.2, 0.3), 0.9999),
+    ])
+    def test_matches_survival(self, head, r):
+        spec = make_constant_hazard(head, r)
+        p, n = spec.p, spec.p + 300
+        got = spec.survivals(n)
+        assert got.shape == (n + 1,)
+        assert [float(x) for x in got[: p + 1]] == [spec.survival(j) for j in range(p + 1)]  # bit for bit
+        tail = np.array([spec.survival(j) for j in range(p + 1, n + 1)])
+        assert np.all(np.abs(got[p + 1 :] - tail) <= 1e-15 * tail)
+
+    def test_horizon_inside_head(self):
+        spec = make_constant_hazard([0.1, 0.2, 0.3], 0.5)
+        assert spec.survivals(1).tolist() == [1.0, spec.survival(1)]
 
 
 def test_spec_is_frozen(p2_spec):

@@ -85,6 +85,23 @@ class TestRoots:
         for z in complexes:
             assert z.conjugate() in complexes
 
+    def test_order_and_exact_conjugates(self):
+        # the real roots first, in eigenvalue order, then each pair as (a, conj(a))
+        # with a the upper member, pairs in eigenvalue order
+        p = expand_from_roots([2.0, 1 + 2j, 1 - 2j, -3.0, -2 + 0.5j, -2 - 0.5j, 5.0, 4 + 3j, 4 - 3j])
+        n = p.degree
+        comp = np.diag(np.ones(n - 1), -1)
+        comp[:, -1] = -np.asarray(p.coeffs[:n]) / p.coeffs[-1]
+        eig = np.linalg.eigvals(comp)
+        want = list(eig[eig.imag == 0.0]) + [z for a in eig[eig.imag > 0.0] for z in (a, a.conjugate())]
+        got = roots(p)
+        assert len(got) == len(want) == n
+        for g, w in zip(got, want):
+            assert abs(g - w) < 1e-9 * abs(w)
+        assert all(z.imag == 0.0 for z in got[:3])
+        for a, b in zip(got[3::2], got[4::2]):
+            assert a.imag > 0.0 and b == a.conjugate()
+
     @given(
         st.lists(st.floats(1.1, 10.0), min_size=0, max_size=4),
         st.lists(st.tuples(st.floats(1.1, 8.0), st.floats(0.2, 6.0)), min_size=0, max_size=2),

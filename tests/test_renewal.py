@@ -10,6 +10,7 @@ from renewal_arma import (
     gen_eval_renewal,
     make_constant_hazard,
     renewal_probs,
+    unit_circle_grid,
 )
 from conftest import make_battery
 
@@ -55,7 +56,7 @@ class TestDelayedProbs:
 
     def test_delay_mass_at_zero(self, small_battery):
         for _, spec in small_battery:
-            assert spec.equilibrium_pmf(0) == pytest.approx(1.0 / spec.mean())
+            assert spec.survivals(0)[0] / spec.mean() == pytest.approx(1.0 / spec.mean())
 
     def test_shapes_and_range(self, p2_spec):
         u, nu = renewal_probs(p2_spec, 64), delayed_probs(p2_spec, 64)
@@ -140,11 +141,28 @@ class TestGenEvalRenewal:
             gen_eval_renewal(pgf, 5, mu, 1.0)
 
 
+    def test_array_matches_points(self, small_battery):
+        grid = unit_circle_grid()
+        for _, spec in small_battery:
+            pgf, mu = spec.pgf(), spec.mean()
+            points = np.array([gen_eval_renewal(pgf, 3, mu, z) for z in grid])
+            assert np.max(np.abs(gen_eval_renewal(pgf, 3, mu, grid) - points) / np.abs(points)) <= 1e-15
+
+    @pytest.mark.parametrize("bad", [0.0, 1.0, 2.0])
+    @pytest.mark.parametrize("where", [0, 31, 62])
+    def test_one_singular_point_rejects_array(self, bad, where):
+        spec = make_constant_hazard([0.2, 0.3], 0.5)  # F has its pole at z = 1/r = 2
+        z = unit_circle_grid()
+        z[where] = bad
+        with pytest.raises(SingularEvaluationError):
+            gen_eval_renewal(spec.pgf(), 5, spec.mean(), z)
+
+
 def test_convolution_identity_spot_check():
     # nu_n must equal sum_k b_k u_{n-k} term by term, not only in the limit
     spec = make_constant_hazard([0.3, 0.1], 0.4)
     u = renewal_probs(spec, 6)
-    b = [spec.equilibrium_pmf(n) for n in range(7)]
+    b = spec.survivals(6) / spec.mean()
     nu = delayed_probs(spec, 6)
     for n in range(7):
         assert nu[n] == pytest.approx(math.fsum(b[k] * u[n - k] for k in range(n + 1)))
