@@ -5,10 +5,13 @@ For each head length p the sweep draws random valid lifetimes, factors the
 autocovariance generating function, and measures how well the ARMA side
 reproduces the renewal side on the unit circle and lag by lag, along with the
 agreement of the two routes to the scale constant.  Draws whose factorization
-is refused are counted in the ``failed`` column.
+is refused are counted in the ``failed`` column, and listed under the row by
+reason: the ``FactorizationError`` message with its numbers masked as ``#``.
 """
 
 import argparse
+import re
+from collections import Counter
 
 import numpy as np
 
@@ -32,6 +35,11 @@ def draw_spec(rng, p):
     return make_constant_hazard(w[:p] * rng.uniform(0.5, 0.95), rng.uniform(0.2, 0.9))
 
 
+def reason(err):
+    """A refusal's message with its numbers (and parenthesized complex numbers) masked."""
+    return re.sub(r"\(?[-+]?\d[\w.+-]*\)?", "#", str(err))
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--per-p", type=int, default=100)
@@ -47,14 +55,14 @@ def main():
     for p in range(1, args.max_p + 1):
         worst_id = worst_acvf = worst_k = worst_lim = 0.0
         orders = set()
-        failed = 0
+        refusals = Counter()
         for _ in range(args.per_p):
             spec = draw_spec(rng, p)
             pgf, mu = spec.pgf(), spec.mean()
             try:
                 model = factorize(pgf, args.M)
-            except FactorizationError:
-                failed += 1
+            except FactorizationError as e:
+                refusals[reason(e)] += 1
                 continue
             orders.add((len(model.phi), len(model.theta)))
             ref = gen_eval_renewal(pgf, args.M, mu, grid)
@@ -65,8 +73,10 @@ def main():
             worst_k = max(worst_k, abs(model.k - k2) / abs(k2))
             worst_lim = max(worst_lim, abs(second_moment_limit(pgf) - spec.variance()))
         order_text = ",".join(f"({a},{b})" for a, b in sorted(orders))
-        print(f"{p:>2} {args.per_p:>6} {failed:>6} {worst_id:>15.3e} {worst_acvf:>13.3e} "
+        print(f"{p:>2} {args.per_p:>6} {refusals.total():>6} {worst_id:>15.3e} {worst_acvf:>13.3e} "
               f"{worst_k:>10.3e} {worst_lim:>10.3e} {order_text:>10}")
+        for text, count in refusals.most_common():
+            print(f"{'':>9} {count:>6}  refused: {text}")
 
 
 if __name__ == "__main__":

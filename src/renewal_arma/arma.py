@@ -76,7 +76,8 @@ def factorize(pgf: RationalPGF, M: int) -> ArmaModel:
     Pipeline: deflate the structural zero of ``den - num`` at z = 1 and
     normalize to get phi; form ``den*den(1/z) - num*num(1/z)``; divide out its
     double zero at z = 1; factor what remains into ``k_raw * theta theta(1/z)``
-    with theta-roots outside the circle.  The constant is cross-checked
+    with theta-roots outside the circle (Wilson's Newton iteration, in
+    :func:`factor_outside`).  The constant is cross-checked
     against :func:`scale_constant`; disagreement beyond 1e-9 relative is
     treated as a bug, not a warning.
     """
@@ -252,19 +253,26 @@ def model_to_dict(model: ArmaModel) -> dict:
     }
 
 
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
 def model_from_dict(obj: dict) -> ArmaModel:
     """Deserialize without validating; run :func:`validate_model` to gate it.
-    Every number must be finite, ``M`` integral and ``mu`` nonzero."""
+    ``phi`` and ``theta`` must be lists of numbers and ``M`` an integral number
+    (a bool is neither); every number must be finite and ``mu`` nonzero."""
     try:
+        if not all(isinstance(obj[key], list) and all(map(_is_number, obj[key])) for key in ("phi", "theta")):
+            raise ValueError(f"phi and theta must be lists of numbers, got {obj['phi']!r}, {obj['theta']!r}")
         phi, theta = (tuple(float(x) for x in obj[key]) for key in ("phi", "theta"))
         k, mu, M = float(obj["k"]), float(obj["mu"]), float(obj["M"])
         sigma2 = float(obj["sigma2"]) if obj.get("sigma2") is not None else None
         if not all(math.isfinite(x) for x in phi + theta + (k, mu, sigma2 or 0.0)):
             raise ValueError("phi, theta, k, mu and sigma2 must be finite")
-        if not M.is_integer():
+        if not (_is_number(obj["M"]) and M.is_integer()):
             raise ValueError(f"M must be an integer, got {obj['M']!r}")
         if mu == 0.0:  # sigma2 = k * M / mu
             raise ValueError("mu must be nonzero")
         return ArmaModel(phi=phi, theta=theta, k=k, M=int(M), mu=mu, sigma2=sigma2)
-    except (KeyError, TypeError, ValueError) as e:
+    except (KeyError, OverflowError, TypeError, ValueError) as e:
         raise ValidationError(f"malformed model JSON: {e}") from None

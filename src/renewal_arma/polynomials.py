@@ -1,10 +1,11 @@
 """Dense real polynomials and symmetric Laurent polynomials.
 
 This is the computational substrate for factoring rational autocovariance
-generating functions: root finding, deflation of the structural zero at z = 1,
-and splitting a symmetric Laurent polynomial that is positive on the unit
-circle into ``k * theta(z) * theta(1/z)`` with every root of ``theta`` strictly
-outside the circle.
+generating functions: deflation of the structural zero at z = 1, splitting a
+symmetric Laurent polynomial that is positive on the unit circle into
+``k * theta(z) * theta(1/z)`` with every root of ``theta`` strictly outside
+the circle (Wilson's Newton iteration, no roots), and root finding for the
+causality report.
 
 All values are immutable after construction; every operation is a pure
 function of its inputs.
@@ -27,9 +28,10 @@ TRIM_REL = 1e-13
 TOL_ZERO_AT_ONE = 1e-10
 TOL_CIRCLE = 1e-8
 TOL_RESID = 1e-10
-PAIRING_TOL = 1e-6
 NEWTON_STEPS = 2
 POSITIVITY_GRID = 128  # circle points at which a spectral numerator must be positive
+WILSON_TOL = 1e-10  # relative step that factor_outside must reach
+WILSON_STEPS = 60
 
 
 def _trim(coeffs) -> tuple[float, ...]:
@@ -252,12 +254,14 @@ def divide_sym_by_unit_pair(n: SymLaurent) -> SymLaurent:
 def factor_outside(d: SymLaurent) -> tuple[Poly, float]:
     """Factor ``d(z) = k * theta(z) * theta(1/z)`` with theta-roots outside the circle.
 
-    ``d`` must be strictly positive on the unit circle.  The ordinary
-    polynomial ``z**q * d(z)`` is rooted, each root ``a`` is paired with its
-    reciprocal, the outside member of each pair contributes a factor
-    ``(1 - z/a)``, and ``k = d(1) / theta(1)**2``.
+    ``d`` must be strictly positive on the unit circle.  Wilson's (1969) Newton
+    iteration solves ``sum_j g[j] g[j+h] = d.c[h]`` for ``g = sqrt(k) * theta``
+    without roots: from ``g = (sqrt(c0 + 2 sum|c_h|), 0, ...)`` each step solves
+    ``A g' = c + (g * g)[lags 0..q]`` with ``A[h, m] = g[m-h] + g[m+h]`` (g is 0
+    outside 0..q).  It stops once the relative step is below ``WILSON_TOL`` and
+    no longer shrinks; a zero of ``d`` on the circle stalls the step near 1e-8.
 
-    Returns ``(theta, k)`` with ``theta(0) = 1`` and ``k > 0``.
+    Returns ``(theta, k)`` with ``theta(0) = 1`` and ``k = g[0]**2``.
     """
     if not d.c:
         raise FactorizationError("not a valid symmetric spectral density")
@@ -268,36 +272,22 @@ def factor_outside(d: SymLaurent) -> tuple[Poly, float]:
     if d.degree == 0:
         return Poly((1.0,)), float(d.c[0])
 
-    ordinary = Poly(tuple(reversed(d.c)) + tuple(d.c[1:]))
-    rts = roots(ordinary)
-    if np.any(np.abs(np.abs(rts) - 1.0) < TOL_CIRCLE):
+    c, q, j = np.asarray(d.c), d.degree, np.arange(d.degree + 1)
+    lo, hi = j - j[:, None], j + j[:, None]  # [h, m]; g's q + 1 zeros of pad serve -q..-1 and q+1..2q
+    g = np.zeros(2 * q + 2)
+    g[0] = math.sqrt(c[0] + 2.0 * np.sum(np.abs(c[1:])))
+    best = math.inf
+    for _ in range(WILSON_STEPS):
+        live = g[: q + 1]
+        new = np.linalg.solve(g[lo] + g[hi], c + np.convolve(live, live[::-1])[q:])
+        step = float(np.max(np.abs(new - live)) / np.max(np.abs(new)))
+        g[: q + 1] = new
+        if best < WILSON_TOL and step >= best:
+            break
+        best = min(best, step)
+    if not best < WILSON_TOL:
         raise FactorizationError("zero on unit circle: lifetime may be lattice or input invalid")
-    unmatched = list(rts)
-    outside = []
-    while unmatched:
-        a = unmatched.pop()
-        j = min(range(len(unmatched)), key=lambda i: abs(a * unmatched[i] - 1.0))
-        b = unmatched.pop(j)
-        if abs(a * b - 1.0) > PAIRING_TOL:
-            raise FactorizationError(
-                f"reciprocal root pairing failed (|a*b - 1| = {abs(a * b - 1.0):.3e}); "
-                "numerical factorization unreliable"
-            )
-        outside.append(a if abs(a) > 1.0 else b)
-
-    th = np.array([1.0 + 0.0j])
-    for a in outside:
-        th = np.convolve(th, np.array([1.0, -1.0 / a]))
-    imag_residue = float(np.max(np.abs(th.imag)))
-    if imag_residue > 1e-10:
-        raise FactorizationError(
-            f"conjugate pairing left imaginary residue {imag_residue:.3e} in theta coefficients"
-        )
-    theta = Poly(tuple(th.real))
-    k = float(d(1.0)) / float(theta(1.0)) ** 2
-    if k <= 0.0:
-        raise FactorizationError("factorization constant is not positive")
-    return theta, k
+    return Poly(tuple(g[: q + 1] / g[0])), float(g[0] ** 2)
 
 
 def resultant(P: Poly, Q: Poly) -> float:

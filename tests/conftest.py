@@ -1,7 +1,13 @@
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from renewal_arma import make_constant_hazard
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "scripts"))
+from battery_sweep import draw_spec  # noqa: E402  (one copy of the Dirichlet draw rule)
 
 
 @pytest.fixture
@@ -43,14 +49,9 @@ def make_battery(seed: int, per_p: int, ps=(1, 2, 3, 4, 5)):
 
 
 def dirichlet_specs(seed, ps=(1, 2, 3, 5, 10, 20, 30), per_p=2):
-    """Heads drawn as Dirichlet weights, which reach the small high-order terms of p up to 30."""
+    """Heads drawn as Dirichlet weights by ``battery_sweep.draw_spec``, which reach every p."""
     rng = np.random.default_rng(seed)
-    out = []
-    for p in ps:
-        for _ in range(per_p):
-            w = rng.dirichlet(np.ones(p + 1))
-            out.append(make_constant_hazard(w[:p] * rng.uniform(0.5, 0.95), rng.uniform(0.2, 0.9)))
-    return out
+    return [draw_spec(rng, p) for p in ps for _ in range(per_p)]
 
 
 @pytest.fixture(scope="session")

@@ -284,6 +284,10 @@ class TestVerify:
     @pytest.mark.parametrize("key,text", [
         ("phi", "[NaN]"), ("phi", "[1e400]"), ("theta", "[-Infinity]"), ("k", "Infinity"),
         ("mu", "NaN"), ("sigma2", "NaN"), ("sigma2", "1e400"), ("M", "1.5"),
+        pytest.param("M", "1" + "0" * 400, id="M-int-1e400"),
+        # wrong types: a string is not a list of numbers, and a bool is not a number
+        ("phi", '"12"'), ("theta", '"5"'), ("phi", "[true]"), ("theta", '{"0": 0.5}'),
+        ("M", "true"), ("M", '"1"'),
     ])
     def test_non_finite_or_fractional_number_is_malformed(self, capsys, tmp_path, key, text):
         fields = {"phi": "[0.5]", "theta": "[]", "k": "1.0", "M": "1", "mu": "2.0", key: text}

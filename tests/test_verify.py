@@ -1,8 +1,10 @@
 import warnings
 
+import numpy as np
 import pytest
 
-from renewal_arma import make_constant_hazard
+from renewal_arma import factorize, make_constant_hazard
+from renewal_arma.arma import COMMON_ROOT_TOL, check_causal_invertible
 from renewal_arma.verify import verify_spec
 
 FULL_GATES_P2 = [
@@ -20,6 +22,20 @@ FULL_GATES_P2 = [
 def test_variance_limit_near_unit_tail_rate(head, r):
     gates = {g.name: g for g in verify_spec(make_constant_hazard(head, r), level="quick")}
     assert gates["variance_limit"].passed, gates["variance_limit"].line()
+
+
+@pytest.mark.parametrize("p, seed", [(40, 7), (60, 0), (120, 0)])
+def test_quick_gates_at_high_p(p, seed):
+    # Dirichlet heads x0.9 at r = 0.5.  Their AR and MA roots stay 0.063,
+    # 0.041 and 0.021 apart, so the common-root rule (COMMON_ROOT_TOL = 1e-8)
+    # accepts each of them.  Rooting z^q d(z) and pairing reciprocal roots
+    # refuses all three ("imaginary residue").
+    spec = make_constant_hazard(np.random.default_rng(seed).dirichlet(np.ones(p + 1))[:p] * 0.9, 0.5)
+    model = factorize(spec.pgf(), 5)
+    assert (len(model.phi), len(model.theta)) == (p, p - 1)
+    assert check_causal_invertible(model).min_root_gap > 1e6 * COMMON_ROOT_TOL
+    gates = verify_spec(spec, level="quick")
+    assert all(g.passed for g in gates), [g.line() for g in gates if not g.passed]
 
 
 def test_impossible_windows_pass_without_nan():
