@@ -25,6 +25,7 @@ from .lifetime import RationalPGF
 from .polynomials import (
     TOL_CIRCLE,
     Poly,
+    SymLaurent,
     deflate_at_one,
     divide_sym_by_unit_pair,
     factor_outside,
@@ -80,9 +81,29 @@ def factorize(pgf: RationalPGF, M: int) -> ArmaModel:
     :func:`factor_outside`).  The constant is cross-checked
     against :func:`scale_constant`; disagreement beyond 1e-9 relative is
     treated as a bug, not a warning.
+
+    phi, theta, k and mu depend on the pgf alone; M only scales
+    ``sigma2 = k M / mu``.  After the first successful call those parts and
+    the model's causality report are kept on the (immutable) pgf, and a later
+    call, with any M, builds a fresh model from them without solving or
+    rooting again.  A refusal is not kept: it is raised on every call.
     """
     if M < 1:
         raise ValueError("superposition count must be positive")
+    if pgf._factors is None:
+        phi, theta, k, mu = _solve(pgf)
+        report = None
+    else:
+        phi, theta, k, mu, report = pgf._factors
+    model = ArmaModel(phi=phi, theta=theta, k=k, M=M, mu=mu)
+    object.__setattr__(model, "_causality", report)
+    validate_model(model)  # roots phi and theta unless the report came from the pgf
+    object.__setattr__(pgf, "_factors", (phi, theta, k, mu, model._causality))
+    return model
+
+
+def _solve(pgf: RationalPGF) -> tuple[tuple[float, ...], tuple[float, ...], float, float]:
+    """phi, theta, k and mu of :func:`factorize`, k cross-checked."""
     P, Q = pgf.num, pgf.den
     deflated = deflate_at_one(Q - P)
     q0 = deflated.coeffs[0] if deflated.degree >= 0 else 0.0
@@ -91,23 +112,25 @@ def factorize(pgf: RationalPGF, M: int) -> ArmaModel:
     ar = deflated.scale(1.0 / q0)
     phi = tuple(-c for c in ar.coeffs[1:])
 
-    numerator = sym_product_diff(P, Q)
-    spectral = divide_sym_by_unit_pair(numerator)
-    theta_p, k_raw = factor_outside(spectral)
+    theta_p, k_raw = factor_outside(_spectral_numerator(pgf))
     theta = tuple(theta_p.coeffs[1:])
     k = k_raw / Q.coeffs[0] ** 2
 
-    mu = pgf.mean()
     k_formula = scale_constant(pgf.variance(), Q, theta_p)
     if abs(k - k_formula) > K_CROSS_CHECK_RTOL * abs(k_formula):
         raise FactorizationError(
             f"factorization inconsistent with the closed-form constant: "
             f"{k!r} vs {k_formula!r}"
         )
+    return phi, theta, k, pgf.mean()
 
-    model = ArmaModel(phi=phi, theta=theta, k=k, M=M, mu=mu)
-    validate_model(model)
-    return model
+
+def _spectral_numerator(pgf: RationalPGF) -> SymLaurent:
+    """``(Q(z)Q(1/z) - P(z)P(1/z)) / ((1 - z)(1 - 1/z))`` for ``pgf = P/Q``; computed
+    once and kept on the (immutable) pgf."""
+    if pgf._spectral is None:
+        object.__setattr__(pgf, "_spectral", divide_sym_by_unit_pair(sym_product_diff(pgf.num, pgf.den)))
+    return pgf._spectral
 
 
 def scale_constant(var_l: float, den: Poly, theta: Poly) -> float:
@@ -233,8 +256,7 @@ def second_moment_limit(pgf: RationalPGF) -> float:
     spectral numerator that :func:`factorize` splits, so the limit is exactly
     ``D(1) / Q(1)**2``.
     """
-    d = divide_sym_by_unit_pair(sym_product_diff(pgf.num, pgf.den))
-    return d(1.0) / pgf.den(1.0) ** 2
+    return _spectral_numerator(pgf)(1.0) / pgf.den(1.0) ** 2
 
 
 def unit_circle_grid() -> np.ndarray:

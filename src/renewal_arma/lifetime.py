@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import LatticeError, SingularEvaluationError, ValidationError
-from .polynomials import Poly, rational_series, resultant
+from .polynomials import Poly, SymLaurent, rational_series, resultant
 
 SERIES_CHECK_TERMS = 200
 
@@ -27,6 +27,7 @@ class LifetimeSpec:
     head: tuple[float, ...]
     r: float
     tail_first: float = field(init=False)
+    _pgf: RationalPGF | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "tail_first", (1.0 - self.r) * (1.0 - math.fsum(self.head)))
@@ -49,6 +50,18 @@ class LifetimeSpec:
         if self.r == 0.0:
             return self.tail_first if n == self.p + 1 else 0.0
         return self.tail_first * self.r ** (n - self.p - 1)
+
+    def pmfs(self, n: int) -> np.ndarray:
+        """P(L = j) for j = 1..n as an array: :meth:`pmf`'s values, bit for bit
+        up to j = p + 1; past it one vector power, which may differ from ``pow`` in the last bit."""
+        if n < 0:
+            raise ValueError("the number of lifetimes must be nonnegative")
+        p = self.p
+        out = np.empty(n)
+        out[:p] = self.head[:n]
+        # at r = 0 the tail is tail_first at p + 1 and zeros after it, since 0.0 ** 0 is 1
+        out[p:] = self.tail_first * self.r ** np.arange(n - p)
+        return out
 
     def survival(self, n: int) -> float:
         """P(L > n) for n >= 0, via the closed-form geometric tail."""
@@ -103,17 +116,23 @@ class LifetimeSpec:
         s2 = r * (1.0 + r) / (1.0 - r) ** 3
         return head_part + self.tail_first * (s2 + (2 * p + 1) * s1 + p * (p + 1) * s0)
 
-    def pgf(self) -> "RationalPGF":
+    def pgf(self) -> RationalPGF:
         """Probability generating function ``F(z) = num(z) / den(z)``.
 
         Numerator ``z * [f_1 + (f_2 - f_1 r) z + ... + (f_{p+1} - f_p r) z**p]``
         over denominator ``1 - r z``.  The pair needs no validation: it is in
         lowest terms because the numerator does not vanish at ``1/r``, and its
         series is the pmf, which is nonnegative.
+
+        Built on the first call and kept on the (immutable) spec: every call
+        returns the same object, so what that pgf keeps (its spectral
+        numerator and factorization) is shared by every caller of this spec.
         """
-        f = list(self.head) + [self.tail_first]
-        num = [0.0, f[0]] + [f[i] - f[i - 1] * self.r for i in range(1, len(f))]
-        return RationalPGF(num=Poly(tuple(num)), den=Poly((1.0, -self.r)))
+        if self._pgf is None:
+            f = list(self.head) + [self.tail_first]
+            num = [0.0, f[0]] + [f[i] - f[i - 1] * self.r for i in range(1, len(f))]
+            object.__setattr__(self, "_pgf", RationalPGF(num=Poly(tuple(num)), den=Poly((1.0, -self.r))))
+        return self._pgf
 
 
 def make_constant_hazard(head, r: float, *, allow_zero_f1: bool = False) -> LifetimeSpec:
@@ -161,10 +180,19 @@ def make_constant_hazard(head, r: float, *, allow_zero_f1: bool = False) -> Life
 
 @dataclass(frozen=True)
 class RationalPGF:
-    """``F(z) = num(z) / den(z)`` in lowest terms with ``den(0) = 1`` and ``num(0) = 0``."""
+    """``F(z) = num(z) / den(z)`` in lowest terms with ``den(0) = 1`` and ``num(0) = 0``.
+
+    Two derived values are kept on the object once computed, both in
+    :mod:`.arma`: the spectral numerator ``_spectral`` and, after the first
+    successful factorization, its parts that do not depend on M
+    (``_factors``: phi, theta, k, mu and the causality report).  Neither
+    takes part in equality, hashing or ``dataclasses.replace``.
+    """
 
     num: Poly
     den: Poly
+    _spectral: SymLaurent | None = field(default=None, init=False, repr=False, compare=False)
+    _factors: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __call__(self, z):
         den = self.den(z)

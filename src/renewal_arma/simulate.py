@@ -220,17 +220,20 @@ def context_frequencies(bits, order: int, t_start: int | None = None, min_count:
     ``t_start`` defaults to ``order``; passing a larger value restricts the
     scan so that tables of different orders cover identical time points.
     """
-    bits = np.asarray(bits, dtype=np.int64)
+    bits = np.asarray(bits)
     n = len(bits)
     start = order if t_start is None else t_start
     if start < order or n <= start:
         raise ValueError("bit sequence too short for the requested context length")
-    code = np.zeros(n - start, dtype=np.int64)
-    for j in range(1, order + 1):
-        code += bits[start - j : n - j] << (j - 1)
-    target = bits[start:]
-    counts = np.bincount(code, minlength=2 ** order)
-    ones = np.bincount(code[target.astype(bool)], minlength=2 ** order)
+    # one cell per (context, target): x_{t-order} in the top bit down to x_{t-1},
+    # then the target x_t in bit 0, so a context's two cells are adjacent
+    # (the unsafe cast lets float 0.0/1.0 bits count as integers)
+    cells = np.zeros(n - start, dtype=np.intp)
+    for j in range(order, -1, -1):
+        cells <<= 1
+        np.add(cells, bits[start - j : n - j], out=cells, casting="unsafe")
+    tally = np.bincount(cells, minlength=2 ** (order + 1)).reshape(-1, 2)
+    counts, ones = tally.sum(axis=1), tally[:, 1]
     table = {}
     for c in range(2 ** order):
         ctx = tuple((c >> (j - 1)) & 1 for j in range(1, order + 1))

@@ -156,7 +156,7 @@ def analytic_gates(spec: LifetimeSpec, M: int) -> list[GateResult]:
                      "(1-z) * AR polynomial reproduces den - num"))
 
     series = pgf.series(200)
-    pmf_err = max(abs(series[n] - spec.pmf(n)) for n in range(1, 200))
+    pmf_err = np.max(np.abs(series[1:] - spec.pmfs(199)))
     out.append(_gate("pgf_series_matches_pmf", pmf_err, 1e-12, "long division vs closed-form pmf"))
 
     out.append(_gate("mean_routes", abs(spec.mean() - pgf.mean()), 1e-10,

@@ -44,6 +44,11 @@ def random_spec(rng: np.random.Generator, p: int):
 
 
 def make_battery(seed: int, per_p: int, ps=(1, 2, 3, 4, 5)):
+    """``per_p`` draws of :func:`random_spec` for each head length in ``ps``, at most 5."""
+    if max(ps) > 5:
+        # random_spec's rejection loop slows as p grows: at p = 14 it had not returned after 20 s
+        raise ValueError(f"make_battery draws heads of length at most 5, not {max(ps)}; "
+                         f"use dirichlet_specs for longer heads")
     rng = np.random.default_rng(seed)
     return [(p, random_spec(rng, p)) for p in ps for _ in range(per_p)]
 

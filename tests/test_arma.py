@@ -1,5 +1,7 @@
+import dataclasses
 import json
 import math
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -23,8 +25,10 @@ from renewal_arma import (
     unit_circle_grid,
     validate_model,
 )
+from renewal_arma import arma
 from renewal_arma.arma import phi_poly, theta_poly
 from renewal_arma.polynomials import roots
+from renewal_arma.verify import verify_spec
 from conftest import dirichlet_specs, make_battery
 
 
@@ -83,6 +87,67 @@ class TestFactorize:
             assert model.k > 0 and model.sigma2 > 0
             report = check_causal_invertible(model)
             assert report.passes
+
+
+@pytest.fixture
+def solves(monkeypatch):
+    """Calls of Wilson's iteration and of the root finder, as factorize reaches them."""
+    calls = Counter()
+
+    def counting(name, func):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return func(*args, **kwargs)
+        return wrapper
+
+    for name in ("factor_outside", "roots"):
+        monkeypatch.setattr(arma, name, counting(name, getattr(arma, name)))
+    return calls
+
+
+class TestKeptFactorization:
+    def test_spec_keeps_one_pgf(self, p2_spec):
+        assert p2_spec.pgf() is p2_spec.pgf()
+
+    def test_models_share_all_but_M(self, p2_spec):
+        a, b = factorize(p2_spec.pgf(), 5), factorize(p2_spec.pgf(), 7)
+        assert (a.phi, a.theta, a.k, a.mu) == (b.phi, b.theta, b.k, b.mu)
+        assert check_causal_invertible(a) is check_causal_invertible(b)
+        assert (a.M, a.sigma2, b.M, b.sigma2) == (5, a.k * 5 / a.mu, 7, b.k * 7 / b.mu)
+        # the same model as a cold factorization at M = 7
+        assert b == factorize(make_constant_hazard(p2_spec.head, p2_spec.r).pgf(), 7)
+
+    def test_second_call_neither_solves_nor_roots(self, solves):
+        spec = make_constant_hazard([0.1, 0.2, 0.3], 0.5)
+        factorize(spec.pgf(), 5)
+        assert solves == {"factor_outside": 1, "roots": 2}
+        factorize(spec.pgf(), 7)
+        assert all(g.passed for g in verify_spec(spec, M=5, level="quick"))
+        assert solves == {"factor_outside": 1, "roots": 2}
+
+    def test_refusal_is_not_kept(self, solves):
+        # an AR root and an MA root 2e-9 apart
+        pgf = make_constant_hazard(np.random.default_rng(4).dirichlet(np.ones(16))[:15] * 0.9, 0.5).pgf()
+        for attempt in (1, 2):
+            with pytest.raises(FactorizationError, match="share the root"):
+                factorize(pgf, 5)
+            assert solves["factor_outside"] == attempt
+
+    def test_equality_and_hash_ignore_kept_values(self, solves):
+        a, b = (make_constant_hazard([0.2, 0.3], 0.6) for _ in range(2))
+        before = hash(a), hash(a.pgf())
+        factorize(a.pgf(), 5)
+        assert a == b and a.pgf() == b.pgf()
+        assert (hash(a), hash(a.pgf())) == before == (hash(b), hash(b.pgf()))
+        factorize(b.pgf(), 5)  # nothing crosses from a to b
+        assert solves["factor_outside"] == 2
+
+    def test_replace_keeps_nothing(self, p2_spec, solves):
+        factorize(p2_spec.pgf(), 5)
+        spec = dataclasses.replace(p2_spec)
+        assert spec == p2_spec and spec.pgf() is not p2_spec.pgf()
+        factorize(dataclasses.replace(p2_spec.pgf()), 5)
+        assert solves["factor_outside"] == 2
 
 
 class TestClosedFormP2:
@@ -281,6 +346,11 @@ def test_degree_law_battery(small_battery):
         model = factorize(spec.pgf(), 1)
         assert len(model.phi) == p
         assert len(model.theta) == p - 1
+
+
+def test_make_battery_refuses_long_heads():
+    with pytest.raises(ValueError, match="dirichlet_specs"):
+        make_battery(0, per_p=1, ps=(14,))
 
 
 def test_p1_is_pure_ar1():

@@ -252,6 +252,23 @@ class TestSurvivals:
         assert spec.survivals(1).tolist() == [1.0, spec.survival(1)]
 
 
+class TestPmfs:
+    @pytest.mark.parametrize("head,r", [((0.2, 0.3), 0.0), ((0.2, 0.3), 0.6), ((), 0.5), ((0.1, 0.2, 0.3), 0.9999)])
+    def test_matches_pmf(self, head, r):
+        spec = make_constant_hazard(head, r)
+        p, n = spec.p, spec.p + 300
+        got = spec.pmfs(n)
+        assert got.shape == (n,)
+        assert [float(x) for x in got[: p + 1]] == [spec.pmf(j) for j in range(1, p + 2)]  # bit for bit
+        tail = np.array([spec.pmf(j) for j in range(p + 2, n + 1)])
+        assert np.all(np.abs(got[p + 1 :] - tail) <= 1e-15 * tail)
+
+    def test_horizon_inside_head(self):
+        spec = make_constant_hazard([0.1, 0.2, 0.3], 0.5)
+        assert spec.pmfs(2).tolist() == [0.1, 0.2]
+        assert spec.pmfs(0).shape == (0,)
+
+
 def test_spec_is_frozen(p2_spec):
     with pytest.raises(AttributeError):
         p2_spec.r = 0.5

@@ -1,5 +1,7 @@
 import hashlib
+import itertools
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -205,6 +207,21 @@ class TestEmpiricalConditionals:
         bits = simulate_chain(p2_spec, 100000, chain_rng(31, 0))
         table = context_frequencies(bits, 3)
         assert sum(s.count for s in table.values()) == len(bits) - 3
+
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    @pytest.mark.parametrize("t_start", [None, 5])
+    def test_matches_brute_force(self, p2_spec, order, t_start):
+        bits = simulate_chain(p2_spec, 3000, chain_rng(33, 0))
+        count, ones = Counter(), Counter()
+        for t in range(order if t_start is None else t_start, len(bits)):
+            ctx = tuple(int(bits[t - j]) for j in range(1, order + 1))
+            count[ctx] += 1
+            ones[ctx] += int(bits[t])
+        table = context_frequencies(bits, order, t_start=t_start, min_count=200)
+        assert sorted(table) == sorted(itertools.product((0, 1), repeat=order))
+        for ctx, st in table.items():
+            assert (st.context, st.count, st.ones, st.sparse) == (ctx, count[ctx], ones[ctx], count[ctx] < 200)
+        assert context_frequencies(bits.astype(float), order, t_start=t_start, min_count=200) == table
 
     def test_sparse_flag(self, p2_spec):
         bits = simulate_chain(p2_spec, 2000, chain_rng(32, 0))
