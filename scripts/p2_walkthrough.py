@@ -13,6 +13,7 @@ import numpy as np
 
 from renewal_arma import (
     acvf_renewal,
+    age_chain,
     arma_acvf,
     check_causal_invertible,
     closed_form_p2,
@@ -39,7 +40,7 @@ def main():
     spec = make_constant_hazard([args.f1, args.f2], args.r)
     print(f"lifetime: head={spec.head}, r={spec.r}, f_{spec.p + 1}={spec.tail_first:.6g}")
     print(f"mean lifetime mu = {spec.mean():.6g}, variance = {spec.variance():.6g}")
-    print(f"hazard beyond lag {spec.p}: {spec.hazard(spec.p + 1):.6g} (constant, = 1 - r)")
+    print(f"hazard beyond lag {spec.p}: {age_chain(spec)[0][-1]:.6g} (constant, = 1 - r)")
 
     model = factorize(spec.pgf(), args.M)
     print(f"\nARMA({len(model.phi)},{len(model.theta)}) factorization:")

@@ -327,7 +327,9 @@ def cmd_verify(parser, args) -> int:
     seed = _seed(parser, args, 20260812)
     if M < 1:
         parser.error("--M must be positive")
-    gates = []
+    if args.model is not None and (args.level == "full" or args.M is not None):
+        parser.error("--model runs the model gates only: it takes neither --level full nor --M, "
+                     "the model file gives M")
     spec = None
     if args.head is not None or args.r is not None:
         _require(parser, args, ["head", "r"])
@@ -338,8 +340,9 @@ def cmd_verify(parser, args) -> int:
                 obj = json.load(fh)
             except ValueError as e:  # also a file that is not UTF-8 text
                 raise ValidationError(f"malformed model JSON: {e}") from None
-        payload = obj.get("model", obj) if isinstance(obj, dict) else obj
-        gates += verify_model(model_from_dict(payload), spec=spec)
+        model = model_from_dict(obj.get("model", obj) if isinstance(obj, dict) else obj)
+        M = model.M
+        gates = verify_model(model, spec=spec)
     elif spec is not None:
         gates = verify_spec(spec, M=M, level=level, seed=seed)
     else:

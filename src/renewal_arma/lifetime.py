@@ -41,19 +41,9 @@ class LifetimeSpec:
     def finite_support(self) -> bool:
         return self.r == 0.0
 
-    def pmf(self, n: int) -> float:
-        """P(L = n) for n >= 1."""
-        if n <= 0:
-            raise ValueError("lifetimes are positive integers")
-        if n <= self.p:
-            return self.head[n - 1]
-        if self.r == 0.0:
-            return self.tail_first if n == self.p + 1 else 0.0
-        return self.tail_first * self.r ** (n - self.p - 1)
-
     def pmfs(self, n: int) -> np.ndarray:
-        """P(L = j) for j = 1..n as an array: :meth:`pmf`'s values, bit for bit
-        up to j = p + 1; past it one vector power, which may differ from ``pow`` in the last bit."""
+        """P(L = j) for j = 1..n as one array: the head up to j = p, then
+        ``tail_first * r**(j - p - 1)`` as one vector power."""
         if n < 0:
             raise ValueError("the number of lifetimes must be nonnegative")
         p = self.p
@@ -63,19 +53,10 @@ class LifetimeSpec:
         out[p:] = self.tail_first * self.r ** np.arange(n - p)
         return out
 
-    def survival(self, n: int) -> float:
-        """P(L > n) for n >= 0, via the closed-form geometric tail."""
-        if n < 0:
-            return 1.0
-        if n < self.p:
-            return 1.0 - math.fsum(self.head[:n])
-        if self.r == 0.0:
-            return self.tail_first if n == self.p else 0.0
-        return self.tail_first * self.r ** (n - self.p) / (1.0 - self.r)
-
     def survivals(self, n: int) -> np.ndarray:
-        """P(L > j) for j = 0..n as an array: :meth:`survival`'s values, bit for bit
-        up to j = p; past p one vector power, which may differ from ``pow`` in the last bit."""
+        """P(L > j) for j = 0..n as one array: ``1 - fsum(f_1..f_j)`` below
+        j = p, then the closed geometric tail ``tail_first * r**(j - p) / (1 - r)``
+        as one vector power."""
         if n < 0:
             raise ValueError("survival lags are nonnegative integers")
         p = self.p
@@ -84,15 +65,6 @@ class LifetimeSpec:
         # at r = 0 the tail is tail_first at p and zeros after it, since 0.0 ** 0 is 1
         out[p:] = self.tail_first * self.r ** np.arange(n - p + 1) / (1.0 - self.r)
         return out
-
-    def hazard(self, k: int) -> float:
-        """P(L = k | L >= k); equals 1 - r for every k >= p + 1."""
-        if k <= 0:
-            raise ValueError("hazard is defined for positive lags")
-        alive = self.survival(k - 1)
-        if alive <= 0.0:
-            raise ValueError(f"no survivor mass at lag {k}")
-        return self.pmf(k) / alive
 
     def mean(self) -> float:
         head_part = math.fsum((i + 1) * f for i, f in enumerate(self.head))

@@ -17,20 +17,19 @@ conditional renewal probability is that age's hazard.
 :func:`age_chain` builds the chain, :func:`window_law` steps it to the exact
 law of any window of bits, and :func:`context_hazards` gives the conditionals.
 Windows and contexts are coded as integers with x_t in bit 0, x_{t-1} in bit
-1, and so on (contexts start at x_{t-1}).  ``markov_order_test`` checks the
-order claim empirically on simulated bits.
+1, and so on (contexts start at x_{t-1}).  Simulated bits are counted in the
+same codes by :func:`.simulate.context_frequencies`, so a table of counts
+lines up cell for cell with :func:`window_law` and :func:`context_hazards`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ValidationError
 from .lifetime import LifetimeSpec
-from .simulate import context_frequencies
 
 
 def age_chain(spec: LifetimeSpec) -> tuple[np.ndarray, np.ndarray]:
@@ -149,73 +148,3 @@ def mgf_trivariate(law: np.ndarray, M: int, s1: float, s2: float, s3: float) -> 
     if not math.isfinite(value):
         raise ValidationError(f"the MGF at exponents ({s1}, {s2}, {s3}) overflows a float for M = {M}")
     return value
-
-
-@dataclass(frozen=True)
-class ContextDivergence:
-    """One extended context compared against its one-lag-shorter truncation."""
-
-    context: tuple[int, ...]
-    count: int
-    freq: float
-    parent_count: int
-    parent_freq: float
-    divergence: float
-    pooled_se: float
-    sparse: bool
-
-    @property
-    def z(self) -> float:
-        if self.pooled_se > 0.0 and math.isfinite(self.divergence):
-            return self.divergence / self.pooled_se
-        return 0.0
-
-
-@dataclass(frozen=True)
-class OrderComparison:
-    """Rows for contexts of one length against their truncations."""
-
-    context_length: int
-    rows: tuple[ContextDivergence, ...]
-
-    def max_divergence(self) -> float:
-        vals = [r.divergence for r in self.rows if not r.sparse]
-        return max(vals, default=0.0)
-
-    def max_z(self) -> float:
-        return max((r.z for r in self.rows if not r.sparse), default=0.0)
-
-
-def markov_order_test(bits, max_order: int, min_count: int = 1000) -> list[OrderComparison]:
-    """Divergence of conditional one-frequencies as the context grows by one lag.
-
-    For each length L = 1..max_order, every length-L context is compared with
-    its length-(L-1) truncation over the same time points; under an order
-    below L the divergence is pure noise with standard error
-    ``sqrt(p(1-p) (1/n_child - 1/n_parent))``.  Sparse contexts (fewer than
-    ``min_count`` occurrences) are reported but flagged.
-    """
-    if max_order < 1:
-        raise ValueError("max_order must be at least 1")
-    bits = np.asarray(bits, dtype=np.int64)
-    comparisons = []
-    for L in range(1, max_order + 1):
-        child = context_frequencies(bits, L, t_start=L, min_count=min_count)
-        parent = context_frequencies(bits, L - 1, t_start=L, min_count=min_count)
-        rows = []
-        for ctx, st in sorted(child.items()):
-            par = parent[ctx[:-1]]
-            if st.count == 0 or par.count == 0:
-                rows.append(ContextDivergence(ctx, st.count, math.nan, par.count, math.nan,
-                                              math.nan, 0.0, True))
-                continue
-            pf = par.freq
-            div = abs(st.freq - pf)
-            var = pf * (1.0 - pf) * max(1.0 / st.count - 1.0 / par.count, 0.0)
-            rows.append(ContextDivergence(
-                context=ctx, count=st.count, freq=st.freq,
-                parent_count=par.count, parent_freq=pf,
-                divergence=div, pooled_se=math.sqrt(var), sparse=st.sparse,
-            ))
-        comparisons.append(OrderComparison(context_length=L, rows=tuple(rows)))
-    return comparisons

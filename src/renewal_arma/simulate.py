@@ -200,44 +200,22 @@ def sample_acvf(series, hmax: int) -> np.ndarray:
     return np.array([np.dot(yc[: n - h], yc[h:]) / n for h in range(hmax + 1)])
 
 
-@dataclass(frozen=True)
-class ContextStats:
-    """Occurrences of one context and the frequency of a 1 following it."""
+def context_frequencies(bits, order: int) -> np.ndarray:
+    """Counts ``tally[c, x]`` of the times t >= ``order`` whose context is c and whose bit is x.
 
-    context: tuple[int, ...]
-    count: int
-    ones: int
-    sparse: bool
-
-    @property
-    def freq(self) -> float:
-        return self.ones / self.count if self.count else math.nan
-
-
-def context_frequencies(bits, order: int, t_start: int | None = None, min_count: int = 1000):
-    """Frequency of x_t = 1 after every context (x_{t-1}, ..., x_{t-order}).
-
-    ``t_start`` defaults to ``order``; passing a larger value restricts the
-    scan so that tables of different orders cover identical time points.
+    The context code c = x_{t-1} + 2 x_{t-2} + ... + 2**(order-1) x_{t-order}
+    is that of :func:`.markov.context_hazards`, so ``tally[c, 1] / tally[c].sum()``
+    estimates ``context_hazards(spec, order)[c]``; ``tally.ravel()`` is indexed
+    by the window code x_t + 2 x_{t-1} + ... of :func:`.markov.window_law`.
     """
     bits = np.asarray(bits)
     n = len(bits)
-    start = order if t_start is None else t_start
-    if start < order or n <= start:
+    if n <= order:
         raise ValueError("bit sequence too short for the requested context length")
-    # one cell per (context, target): x_{t-order} in the top bit down to x_{t-1},
-    # then the target x_t in bit 0, so a context's two cells are adjacent
+    # the window code, x_{t-order} in the top bit down to x_t in bit 0
     # (the unsafe cast lets float 0.0/1.0 bits count as integers)
-    cells = np.zeros(n - start, dtype=np.intp)
+    codes = np.zeros(n - order, dtype=np.intp)
     for j in range(order, -1, -1):
-        cells <<= 1
-        np.add(cells, bits[start - j : n - j], out=cells, casting="unsafe")
-    tally = np.bincount(cells, minlength=2 ** (order + 1)).reshape(-1, 2)
-    counts, ones = tally.sum(axis=1), tally[:, 1]
-    table = {}
-    for c in range(2 ** order):
-        ctx = tuple((c >> (j - 1)) & 1 for j in range(1, order + 1))
-        table[ctx] = ContextStats(
-            context=ctx, count=int(counts[c]), ones=int(ones[c]), sparse=counts[c] < min_count
-        )
-    return table
+        codes <<= 1
+        np.add(codes, bits[order - j : n - j], out=codes, casting="unsafe")
+    return np.bincount(codes, minlength=2 ** (order + 1)).reshape(-1, 2)

@@ -7,10 +7,11 @@ moments, sample autocovariance, a chi-square test of the binomial marginal,
 and for two-term heads the joint/conditional/moment comparisons.
 
 The Markov gates read their targets from the capped-age chain of
-:mod:`.markov`: the three-bit window law (cells coded x_t + 2 x_{t-1} +
-4 x_{t-2}, the code the simulated triples are binned by) and the context
-hazards.  They stay restricted to two-term heads, the window the ``markov``
-command reports.
+:mod:`.markov`: the three-bit window law and the context hazards.  The
+simulated bits are counted by :func:`.simulate.context_frequencies` in the
+same integer codes, window x_t + 2 x_{t-1} + 4 x_{t-2} and context
+x_{t-1} + 2 x_{t-2}.  They stay restricted to two-term heads, the window the
+``markov`` command reports.
 """
 
 from __future__ import annotations
@@ -49,6 +50,7 @@ from .simulate import (
 
 N_BATCHES = 30
 FULL_STEPS = 10 ** 6
+MIN_CONTEXT_COUNT = 1000  # mc_conditionals leaves out contexts seen fewer times
 
 
 @dataclass(frozen=True)
@@ -246,11 +248,9 @@ def _markov_gates(spec: LifetimeSpec, M: int, seed: int, series) -> list[GateRes
     bits = simulate_chain(spec, FULL_STEPS, chain_rng(seed, M))
     law = window_law(spec, 3)
 
-    b = np.asarray(bits, dtype=np.int64)
-    triples = b[2:] + 2 * b[1:-1] + 4 * b[:-2]  # x_t + 2 x_{t-1} + 4 x_{t-2}
-    n = len(triples)
-    batch = n // N_BATCHES
-    freqs = np.array([np.bincount(triples[i * batch : (i + 1) * batch], minlength=8) / batch
+    # window counts x_t + 2 x_{t-1} + 4 x_{t-2} of each batch of triples
+    batch = (len(bits) - 2) // N_BATCHES
+    freqs = np.array([context_frequencies(bits[i * batch : (i + 1) * batch + 2], 2).ravel() / batch
                       for i in range(N_BATCHES)])
     worst = 0.0
     for code, target in enumerate(law):
@@ -263,15 +263,12 @@ def _markov_gates(spec: LifetimeSpec, M: int, seed: int, series) -> list[GateRes
         worst = max(worst, abs(est - target) / (3 * se))
     out.append(_gate("mc_joint_triples", worst, 1.0, "max cell error / (3*SE)"))
 
-    hazards = context_hazards(spec, 2)
-    table = context_frequencies(bits, 2)
-    worst = 0.0
-    for (a, bb), st in table.items():
-        if st.sparse:
-            continue
-        target = hazards[a + 2 * bb]
-        se = math.sqrt(max(st.freq * (1 - st.freq), 1e-12) / st.count)
-        worst = max(worst, abs(st.freq - target) / (3 * se))
+    tally = context_frequencies(bits, 2)
+    seen = tally.sum(axis=1)
+    kept = seen >= MIN_CONTEXT_COUNT
+    freq = tally[kept, 1] / seen[kept]
+    se = np.sqrt(np.maximum(freq * (1 - freq), 1e-12) / seen[kept])
+    worst = np.max(np.abs(freq - context_hazards(spec, 2)[kept]) / (3 * se), initial=0.0)
     out.append(_gate("mc_conditionals", worst, 1.0, "max context error / (3*SE)"))
 
     y = series.values.astype(float)

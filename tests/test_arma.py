@@ -8,9 +8,7 @@ import numpy as np
 import pytest
 
 from renewal_arma import (
-    ArmaModel,
     FactorizationError,
-    SingularEvaluationError,
     acvf_renewal,
     arma_acvf,
     check_causal_invertible,
@@ -19,14 +17,12 @@ from renewal_arma import (
     gen_eval_arma,
     gen_eval_renewal,
     make_constant_hazard,
-    model_from_dict,
-    model_to_dict,
     second_moment_limit,
     unit_circle_grid,
-    validate_model,
 )
 from renewal_arma import arma
-from renewal_arma.arma import phi_poly, theta_poly
+from renewal_arma.arma import ArmaModel, model_from_dict, model_to_dict, phi_poly, theta_poly, validate_model
+from renewal_arma.errors import SingularEvaluationError
 from renewal_arma.polynomials import roots
 from renewal_arma.verify import verify_spec
 from conftest import dirichlet_specs, make_battery

@@ -265,6 +265,33 @@ class TestVerify:
         assert code == 0
         assert "acvf_identity" in out2
 
+    @staticmethod
+    def _model_file(capsys, tmp_path, M):
+        _, out, _ = run(capsys, "factorize", "--head", "0.2,0.3", "--r", "0.6", "--M", str(M))
+        model_path = tmp_path / "model.json"
+        model_path.write_text(out)
+        return str(model_path)
+
+    @pytest.mark.parametrize("extra", [["--level", "full"], ["--M", "7"]])
+    def test_model_rejects_level_full_and_M(self, capsys, tmp_path, extra):
+        # a model file is gated by its own M and only by the model gates
+        model_path = self._model_file(capsys, tmp_path, 2)
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--model", model_path, *extra])
+        assert exc.value.code == 2
+        assert "--model" in capsys.readouterr().err
+
+    def test_model_manifest_records_model_M(self, capsys, tmp_path):
+        model_path = self._model_file(capsys, tmp_path, 2)
+        report_path = tmp_path / "report.json"
+        code, _, _ = run(capsys, "verify", "--model", model_path, "--level", "quick",
+                         "--json-out", str(report_path))
+        assert code == 0
+        report = json.loads(report_path.read_text())
+        validate(report, "verify.schema.json")
+        assert report["level"] == "quick"
+        assert report["manifest"]["params"]["M"] == 2
+
     def test_string_sigma2_is_gated_as_number(self, capsys, tmp_path):
         model_path = tmp_path / "model.json"
         model_path.write_text(json.dumps({

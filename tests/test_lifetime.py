@@ -5,15 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from renewal_arma import (
-    LatticeError,
+from renewal_arma.errors import LatticeError, ValidationError
+from renewal_arma.lifetime import (
     LifetimeSpec,
-    ValidationError,
     make_constant_hazard,
     make_rational_pgf,
     spec_from_dict,
     spec_to_dict,
 )
+from renewal_arma.markov import age_chain
 from renewal_arma.polynomials import Poly
 
 
@@ -32,14 +32,14 @@ def specs(draw, max_p=4):
 class TestMakeConstantHazard:
     def test_geometric(self):
         spec = make_constant_hazard([0.5], 0.5)
-        assert spec.pmf(2) == pytest.approx(0.25)
+        assert spec.pmfs(2)[1] == pytest.approx(0.25)
         assert spec.tail_first == pytest.approx(0.25)
         assert spec.r == 0.5
 
     def test_p2_example_tail(self):
         spec = make_constant_hazard([0.2, 0.3], 0.6)
         assert spec.tail_first == pytest.approx(0.2)
-        assert spec.pmf(4) == pytest.approx(0.2 * 0.6)
+        assert spec.pmfs(4)[3] == pytest.approx(0.2 * 0.6)
 
     def test_invalid_probability(self):
         with pytest.raises(ValidationError):
@@ -61,7 +61,7 @@ class TestMakeConstantHazard:
         with pytest.raises(ValidationError, match="f_1"):
             make_constant_hazard([0.0, 0.5], 0.5)
         spec = make_constant_hazard([0.0, 0.5], 0.5, allow_zero_f1=True)
-        assert spec.pmf(1) == 0.0
+        assert spec.pmfs(1)[0] == 0.0
 
     def test_lattice_rejected(self):
         with pytest.raises(LatticeError):
@@ -83,17 +83,17 @@ class TestMakeConstantHazard:
 
 class TestPmfMoments:
     def test_geometric_pmf(self, geometric_spec):
-        assert geometric_spec.pmf(3) == pytest.approx(0.125)
+        assert geometric_spec.pmfs(3)[2] == pytest.approx(0.125)
 
     def test_p2_tail_pmf(self, p2_spec):
-        assert p2_spec.pmf(5) == pytest.approx(0.2 * 0.36)
+        assert p2_spec.pmfs(5)[4] == pytest.approx(0.2 * 0.36)
 
     def test_p2_head_readback(self, p2_spec):
-        assert p2_spec.pmf(2) == 0.3
+        assert p2_spec.pmfs(2)[1] == 0.3
 
-    def test_pmf_rejects_nonpositive(self, p2_spec):
+    def test_pmfs_rejects_negative_count(self, p2_spec):
         with pytest.raises(ValueError):
-            p2_spec.pmf(0)
+            p2_spec.pmfs(-1)
 
     def test_geometric_moments(self, geometric_spec):
         assert geometric_spec.mean() == pytest.approx(2.0)
@@ -108,40 +108,52 @@ class TestPmfMoments:
     @given(specs())
     @settings(max_examples=60, deadline=None)
     def test_moments_match_series(self, spec):
-        mean_series = math.fsum(n * spec.pmf(n) for n in range(1, 2500))
-        var_series = math.fsum(n * n * spec.pmf(n) for n in range(1, 2500)) - mean_series ** 2
+        n, f = np.arange(1, 2500), spec.pmfs(2499)
+        mean_series = math.fsum(n * f)
+        var_series = math.fsum(n * n * f) - mean_series ** 2
         assert spec.mean() == pytest.approx(mean_series, abs=1e-10)
         assert spec.variance() == pytest.approx(var_series, abs=1e-8)
 
     @given(specs())
     @settings(max_examples=60, deadline=None)
     def test_pmf_sums_with_closed_tail(self, spec):
-        total = math.fsum(spec.pmf(n) for n in range(1, 101)) + spec.survival(100)
+        total = math.fsum(spec.pmfs(100)) + spec.survivals(100)[100]
         assert abs(total - 1.0) < 1e-12
 
 
 class TestHazard:
+    """The hazard P(L = k | L >= k) = pmf(k) / P(L > k - 1), read off the arrays
+    and off the capped-age chain, whose age a holds the hazard of lag a + 1."""
+
     def test_constant_after_lag(self, p2_spec):
-        assert p2_spec.hazard(7) == pytest.approx(0.4)
+        assert p2_spec.pmfs(7)[6] / p2_spec.survivals(6)[6] == pytest.approx(0.4)
+        assert age_chain(p2_spec)[0][-1] == pytest.approx(0.4)  # every lag past p
 
     def test_memoryless_everywhere(self, geometric_spec):
-        assert geometric_spec.hazard(1) == pytest.approx(0.5)
+        assert age_chain(geometric_spec)[0].tolist() == [0.5]
 
     def test_head_hazard(self, p2_spec):
-        assert p2_spec.hazard(1) == pytest.approx(0.2)
+        assert age_chain(p2_spec)[0][0] == pytest.approx(0.2)
+        assert age_chain(p2_spec)[0][1] == pytest.approx(0.3 / 0.8)
 
     @given(specs())
     @settings(max_examples=40, deadline=None)
     def test_exactly_one_minus_r_in_tail(self, spec):
         if spec.r == 0.0:
             return
-        for k in range(spec.p + 1, spec.p + 21):
-            assert abs(spec.hazard(k) - (1.0 - spec.r)) < 1e-14
+        p = spec.p
+        hazards = spec.pmfs(p + 20)[p:] / spec.survivals(p + 19)[p:]  # lags p + 1 .. p + 20
+        assert np.all(np.abs(hazards - (1.0 - spec.r)) < 1e-14)
+        assert age_chain(spec)[0][-1] == 1.0 - spec.r
 
     def test_no_survivors(self):
-        spec = make_constant_hazard([0.9], 0.0)
-        with pytest.raises(ValueError, match="survivor"):
-            spec.hazard(3)
+        # P(L > 2) = 0: the ages 2 and 3 are never reached, and the chain
+        # gives them hazard 1 instead of dividing by zero
+        spec = make_constant_hazard([0.5, 0.5, 0.0], 0.0)
+        with np.errstate(all="raise"):
+            hazard, law = age_chain(spec)
+        assert hazard.tolist() == [0.5, 1.0, 1.0, 1.0]
+        assert law[2:].tolist() == [0.0, 0.0]
 
 
 class TestPgf:
@@ -169,14 +181,13 @@ class TestPgf:
         # resultant test on it reads as a shared factor
         spec = make_constant_hazard([0.5, 0.5 - 1e-13], 0.5)
         coeffs = spec.pgf().series(50)
-        assert all(coeffs[n] == spec.pmf(n) for n in range(1, 50))
+        assert coeffs[1:].tolist() == spec.pmfs(49).tolist()
 
     @given(specs())
     @settings(max_examples=60, deadline=None)
     def test_series_matches_pmf(self, spec):
         coeffs = spec.pgf().series(200)
-        for n in range(1, 200):
-            assert abs(coeffs[n] - spec.pmf(n)) < 1e-12
+        assert np.all(np.abs(coeffs[1:] - spec.pmfs(199)) < 1e-12)
 
     @given(specs())
     @settings(max_examples=60, deadline=None)
@@ -239,29 +250,31 @@ class TestSurvivals:
         ((), 0.5), ((), 0.9999), ((0.2, 0.3), 0.0), ((0.2, 0.3), 0.6), ((0.1, 0.2, 0.3), 0.9999),
     ])
     def test_matches_survival(self, head, r):
+        # against the survival function summed from the pmf: 1 - fsum(f_1..f_j)
         spec = make_constant_hazard(head, r)
         p, n = spec.p, spec.p + 300
         got = spec.survivals(n)
         assert got.shape == (n + 1,)
-        assert [float(x) for x in got[: p + 1]] == [spec.survival(j) for j in range(p + 1)]  # bit for bit
-        tail = np.array([spec.survival(j) for j in range(p + 1, n + 1)])
-        assert np.all(np.abs(got[p + 1 :] - tail) <= 1e-15 * tail)
+        f = spec.pmfs(n)
+        summed = np.array([1.0 - math.fsum(f[:j]) for j in range(n + 1)])
+        assert got[:p].tolist() == summed[:p].tolist()  # bit for bit inside the head
+        assert np.all(np.abs(got - summed) <= 1e-15)
 
     def test_horizon_inside_head(self):
         spec = make_constant_hazard([0.1, 0.2, 0.3], 0.5)
-        assert spec.survivals(1).tolist() == [1.0, spec.survival(1)]
+        assert spec.survivals(1).tolist() == [1.0, 1.0 - 0.1]
 
 
 class TestPmfs:
     @pytest.mark.parametrize("head,r", [((0.2, 0.3), 0.0), ((0.2, 0.3), 0.6), ((), 0.5), ((0.1, 0.2, 0.3), 0.9999)])
     def test_matches_pmf(self, head, r):
+        # against the pmf as the power series of the pgf, by long division
         spec = make_constant_hazard(head, r)
         p, n = spec.p, spec.p + 300
         got = spec.pmfs(n)
         assert got.shape == (n,)
-        assert [float(x) for x in got[: p + 1]] == [spec.pmf(j) for j in range(1, p + 2)]  # bit for bit
-        tail = np.array([spec.pmf(j) for j in range(p + 2, n + 1)])
-        assert np.all(np.abs(got[p + 1 :] - tail) <= 1e-15 * tail)
+        assert got[:p].tolist() == list(head)
+        assert np.all(np.abs(got - spec.pgf().series(n + 1)[1:]) <= 1e-15)
 
     def test_horizon_inside_head(self):
         spec = make_constant_hazard([0.1, 0.2, 0.3], 0.5)

@@ -12,24 +12,23 @@ import pytest
 
 from conftest import dirichlet_specs, make_battery
 from renewal_arma import (
-    ValidationError,
+    SimConfig,
     acvf_renewal,
-    chain_rng,
     conditional_probs_p2,
-    context_frequencies,
-    context_hazards,
     joint_probs_p2,
     make_constant_hazard,
-    markov_order_test,
-    mgf_trivariate,
-    renewal_probs,
-    simulate_chain,
     simulate_counts,
+)
+from renewal_arma.errors import ValidationError
+from renewal_arma.markov import (
+    context_hazards,
+    mgf_trivariate,
     step_pair_law,
     window_law,
     window_marginals,
 )
-from renewal_arma.simulate import SimConfig
+from renewal_arma.renewal import renewal_probs
+from renewal_arma.simulate import chain_rng, context_frequencies, simulate_chain
 
 
 def joint_oracle_p2(spec):
@@ -194,11 +193,11 @@ class TestConditionalProbs:
     def test_empirical(self, p2_spec):
         cond = conditional_probs_p2(p2_spec)
         bits = simulate_chain(p2_spec, 10 ** 6, chain_rng(61, 0))
-        table = context_frequencies(bits, 2)
-        for (a, b), stats in table.items():
+        for c, (zeros, ones) in enumerate(context_frequencies(bits, 2)):
+            a, b = c & 1, c >> 1  # context code x_{t-1} + 2 x_{t-2}
             want = cond[f"p1g{a}{b}"]
-            se = math.sqrt(want * (1 - want) / stats.count)
-            assert abs(stats.freq - want) <= 3 * se, (a, b)
+            se = math.sqrt(want * (1 - want) / (zeros + ones))
+            assert abs(ones / (zeros + ones) - want) <= 3 * se, (a, b)
 
     def test_pair_law_fixed_point(self, p2_spec):
         pair = window_law(p2_spec, 3).reshape(4, 2).sum(axis=1)  # drop X_t
@@ -253,37 +252,47 @@ class TestMgfTrivariate:
         assert abs(samples.mean() - want) <= 3 * se
 
 
+def max_context_z(bits, spec, order):
+    """Largest |frequency - exact hazard| over the contexts of ``order`` bits, in units of its SE."""
+    tally = context_frequencies(bits, order)
+    seen = tally.sum(axis=1)
+    hazards = context_hazards(spec, order)
+    return np.max(np.abs(tally[:, 1] / seen - hazards) / np.sqrt(hazards * (1 - hazards) / seen))
+
+
+@pytest.fixture(scope="class")
+def p2_long_bits():
+    return simulate_chain(make_constant_hazard([0.2, 0.3], 0.6), 10 ** 7, chain_rng(64, 0))
+
+
 class TestMarkovOrderTest:
+    """The chain is Markov of order p: over contexts longer than p the counted
+    conditional frequencies match the exact capped-age hazards."""
+
     def test_iid_bits_have_order_zero(self, geometric_spec):
         bits = simulate_chain(geometric_spec, 10 ** 6, chain_rng(63, 0))
-        for comparison in markov_order_test(bits, 3):
-            assert comparison.max_z() < 4.0
+        for order in (1, 2, 3):
+            assert max_context_z(bits, geometric_spec, order) < 4.0, order
 
-    def test_p2_chain_is_second_order(self, p2_spec):
-        bits = simulate_chain(p2_spec, 10 ** 7, chain_rng(64, 0))
-        comparisons = markov_order_test(bits, 3)
-        level3 = comparisons[2]
-        assert level3.context_length == 3
-        for row in level3.rows:
-            if not row.sparse:
-                assert row.divergence < 4.0 * row.pooled_se, row
+    def test_p2_chain_is_second_order(self, p2_spec, p2_long_bits):
+        assert max_context_z(p2_long_bits, p2_spec, 3) < 4.0
 
-    def test_p2_chain_is_not_first_order(self, p2_spec):
-        # P(1 | 0, 1) = 0.375 differs from P(1 | 0, .) = 0.390...; with 1e7
-        # bits the level-2 refinement must light up strongly
-        bits = simulate_chain(p2_spec, 10 ** 7, chain_rng(64, 0))
-        level2 = markov_order_test(bits, 2)[1]
-        row_01 = next(r for r in level2.rows if r.context == (0, 1))
-        assert row_01.z > 10.0
+    def test_p2_chain_is_not_first_order(self, p2_spec, p2_long_bits):
+        # after x_{t-1} = 0 the second lag still matters: P(1 | 0, 0) = 1 - r = 0.4
+        # but P(1 | 0, 1) = f2 / (1 - f1) = 0.375, which 1e7 bits tell apart
+        hazards = context_hazards(p2_spec, 2)
+        assert hazards[[0, 2]].tolist() == pytest.approx([0.4, 0.375])
+        tally = context_frequencies(p2_long_bits, 2)[[0, 2]]
+        seen = tally.sum(axis=1)
+        freq = tally[:, 1] / seen
+        se = np.sqrt(hazards[[0, 2]] * (1 - hazards[[0, 2]]) / seen)
+        assert np.all(np.abs(freq - hazards[[0, 2]]) < 4.0 * se)
+        assert abs(freq[0] - freq[1]) > 10.0 * math.hypot(*se)
 
-    def test_rejects_bad_order(self, p2_spec):
-        with pytest.raises(ValueError):
-            markov_order_test(np.zeros(100, dtype=int), 0)
-
-    def test_sparse_contexts_flagged(self, p2_spec):
-        bits = simulate_chain(p2_spec, 5000, chain_rng(65, 0))
-        comparisons = markov_order_test(bits, 3, min_count=10 ** 6)
-        assert all(r.sparse for r in comparisons[2].rows)
+    def test_rejects_bad_order(self):
+        # an order as long as the sequence leaves no time to count
+        with pytest.raises(ValueError, match="too short"):
+            context_frequencies(np.zeros(100, dtype=int), 100)
 
 
 def test_power_of_order_test_oracle(p2_spec):

@@ -3,15 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from renewal_arma import (
-    SingularEvaluationError,
-    acvf_renewal,
-    delayed_probs,
-    gen_eval_renewal,
-    make_constant_hazard,
-    renewal_probs,
-    unit_circle_grid,
-)
+from renewal_arma import acvf_renewal, gen_eval_renewal, make_constant_hazard, unit_circle_grid
+from renewal_arma.errors import SingularEvaluationError
+from renewal_arma.renewal import delayed_probs, renewal_probs
 from conftest import make_battery
 
 

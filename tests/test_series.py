@@ -9,8 +9,9 @@ import numpy as np
 import pytest
 
 from conftest import dirichlet_specs
-from renewal_arma import arma_acvf, factorize, renewal_probs
+from renewal_arma import arma_acvf, factorize
 from renewal_arma.polynomials import Poly, deflate_at_one, rational_series
+from renewal_arma.renewal import renewal_probs
 
 N = 2000
 TOL = 1e-12
@@ -20,7 +21,7 @@ def renewal_recursion(spec, N):
     """``u[0..N]`` by u_0 = 1, u_n = sum_{j<n} u_j f_{n-j}."""
     u = np.zeros(N + 1)
     u[0] = 1.0
-    f = np.array([spec.pmf(n) for n in range(1, N + 1)])
+    f = spec.pmfs(N)
     for n in range(1, N + 1):
         u[n] = np.dot(u[:n], f[n - 1 :: -1])
     return u

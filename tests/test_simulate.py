@@ -1,5 +1,4 @@
 import hashlib
-import itertools
 import math
 from collections import Counter
 
@@ -8,21 +7,15 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from renewal_arma import (
-    SimConfig,
-    acvf_renewal,
-    chain_rng,
-    context_frequencies,
-    make_constant_hazard,
-    sample_acvf,
-    simulate_chain,
-    simulate_counts,
-)
+from renewal_arma import SimConfig, acvf_renewal, make_constant_hazard, sample_acvf, simulate_counts
 from renewal_arma.simulate import (
     ChainLaws,
+    chain_rng,
+    context_frequencies,
     delay_law,
     lifetime_law,
     sample_lifetimes,
+    simulate_chain,
 )
 from renewal_arma.errors import RenewalArmaError
 
@@ -46,8 +39,7 @@ class TestSampleLifetime:
     def test_pmf_gate(self, p2_spec):
         n = 10 ** 6
         draws = sample_lifetimes(lifetime_law(p2_spec), n, chain_rng(3, 0))
-        for value in range(1, 11):
-            want = p2_spec.pmf(value)
+        for value, want in enumerate(p2_spec.pmfs(10), start=1):
             got = float(np.mean(draws == value))
             se = math.sqrt(want * (1 - want) / n)
             assert abs(got - want) <= 3 * se, value
@@ -103,10 +95,10 @@ class TestSimulateChain:
 
     def test_conditional_renewal_rate(self, p2_spec):
         bits = simulate_chain(p2_spec, 10 ** 6, chain_rng(12, 0))
-        table = context_frequencies(bits, 2)
-        stats = table[(0, 0)]
-        se = math.sqrt(stats.freq * (1 - stats.freq) / stats.count)
-        assert abs(stats.freq - 0.4) <= 3 * se  # 1 - r
+        zeros, ones = context_frequencies(bits, 2)[0]  # context 0: x_{t-1} = x_{t-2} = 0
+        freq = ones / (zeros + ones)
+        se = math.sqrt(freq * (1 - freq) / (zeros + ones))
+        assert abs(freq - 0.4) <= 3 * se  # 1 - r
 
     def test_short_series(self, p2_spec):
         bits = simulate_chain(p2_spec, 3, chain_rng(13, 0))
@@ -199,34 +191,29 @@ class TestSampleAcvf:
 class TestEmpiricalConditionals:
     def test_iid_bits_flat(self, geometric_spec):
         bits = simulate_chain(geometric_spec, 400000, chain_rng(30, 0))
-        table = context_frequencies(bits, 2)
-        freqs = [s.freq for s in table.values() if not s.sparse]
-        assert max(freqs) - min(freqs) < 0.01
+        tally = context_frequencies(bits, 2)
+        freqs = tally[:, 1] / tally.sum(axis=1)
+        assert freqs.max() - freqs.min() < 0.01
 
     def test_counts_sum(self, p2_spec):
         bits = simulate_chain(p2_spec, 100000, chain_rng(31, 0))
-        table = context_frequencies(bits, 3)
-        assert sum(s.count for s in table.values()) == len(bits) - 3
+        assert context_frequencies(bits, 3).sum() == len(bits) - 3
 
-    @pytest.mark.parametrize("order", [1, 2, 3])
-    @pytest.mark.parametrize("t_start", [None, 5])
-    def test_matches_brute_force(self, p2_spec, order, t_start):
+    @pytest.mark.parametrize("order", [0, 1, 2, 3])
+    @pytest.mark.parametrize("start", [None, 5])
+    def test_matches_brute_force(self, p2_spec, order, start):
+        # with ``start`` the counted times begin at t = start of the whole chain
         bits = simulate_chain(p2_spec, 3000, chain_rng(33, 0))
-        count, ones = Counter(), Counter()
-        for t in range(order if t_start is None else t_start, len(bits)):
-            ctx = tuple(int(bits[t - j]) for j in range(1, order + 1))
-            count[ctx] += 1
-            ones[ctx] += int(bits[t])
-        table = context_frequencies(bits, order, t_start=t_start, min_count=200)
-        assert sorted(table) == sorted(itertools.product((0, 1), repeat=order))
-        for ctx, st in table.items():
-            assert (st.context, st.count, st.ones, st.sparse) == (ctx, count[ctx], ones[ctx], count[ctx] < 200)
-        assert context_frequencies(bits.astype(float), order, t_start=t_start, min_count=200) == table
-
-    def test_sparse_flag(self, p2_spec):
-        bits = simulate_chain(p2_spec, 2000, chain_rng(32, 0))
-        table = context_frequencies(bits, 3, min_count=10 ** 6)
-        assert all(s.sparse for s in table.values())
+        if start is not None:
+            bits = bits[start - order :]
+        times = range(order, len(bits))
+        pairs = Counter((sum(int(bits[t - j]) << (j - 1) for j in range(1, order + 1)), int(bits[t]))
+                        for t in times)
+        windows = Counter(sum(int(bits[t - j]) << j for j in range(order + 1)) for t in times)
+        tally = context_frequencies(bits, order)
+        assert tally.tolist() == [[pairs[c, 0], pairs[c, 1]] for c in range(2 ** order)]
+        assert tally.ravel().tolist() == [windows[w] for w in range(2 ** (order + 1))]
+        assert np.array_equal(context_frequencies(bits.astype(float), order), tally)
 
 
 def test_stream_independence(p2_spec):
@@ -269,7 +256,7 @@ def ref_sample_lifetimes(spec, n, rng):
 
 def ref_sample_delays(spec, n, rng):
     mu = spec.mean()
-    b_head = [spec.survival(j) / mu for j in range(spec.p + 1)]
+    b_head = spec.survivals(spec.p) / mu
     return ref_sample_head_tail(b_head, spec.r, n, rng, spec.r == 0.0)
 
 
@@ -333,7 +320,7 @@ def edge_uniforms(spec):
     """Every head cdf entry, its neighbours, 0 and the largest uniforms below 1."""
     mu = spec.mean()
     cdfs = np.concatenate([np.cumsum(spec.head),
-                           np.cumsum([spec.survival(j) / mu for j in range(spec.p + 1)])])
+                           np.cumsum(spec.survivals(spec.p) / mu)])
     below_one = [np.nextafter(1.0, 0.0), 1.0 - 2.0 ** -52, 1.0 - 1e-12]
     near = [np.nextafter(cdfs, 0.0), cdfs, np.nextafter(cdfs, 1.0)]
     u = np.concatenate([[0.0], below_one, *near])
