@@ -6,7 +6,9 @@ nonlattice lifetime with rational generating function P/Q factors as
     G(z) = (k M / mu) * theta(z) theta(1/z) / (phi(z) phi(1/z)),
 
 with all roots of phi and theta strictly outside the unit circle and no root
-shared between them.  ``factorize`` carries that factorization out
+shared between them.  phi is read off the pgf's survival numerator and theta
+and k are split from its spectral numerator (both built by
+:class:`.lifetime.RationalPGF`).  ``factorize`` carries that factorization out
 numerically; ``closed_form_p2`` gives the explicit coefficients available for
 the two-term-head family; ``arma_acvf`` and ``gen_eval_arma`` recompute the
 autocovariance from the ARMA side for cross-validation against the renewal
@@ -22,17 +24,7 @@ import numpy as np
 
 from .errors import FactorizationError, SingularEvaluationError, ValidationError
 from .lifetime import RationalPGF
-from .polynomials import (
-    TOL_CIRCLE,
-    Poly,
-    SymLaurent,
-    deflate_at_one,
-    divide_sym_by_unit_pair,
-    factor_outside,
-    rational_series,
-    roots,
-    sym_product_diff,
-)
+from .polynomials import TOL_CIRCLE, Poly, factor_outside, rational_series, roots
 
 K_CROSS_CHECK_RTOL = 1e-9
 COMMON_ROOT_TOL = 1e-8
@@ -74,10 +66,10 @@ def theta_poly(model: ArmaModel) -> Poly:
 def factorize(pgf: RationalPGF, M: int) -> ArmaModel:
     """Factor the autocovariance generating function of the count series.
 
-    Pipeline: deflate the structural zero of ``den - num`` at z = 1 and
-    normalize to get phi; form ``den*den(1/z) - num*num(1/z)``; divide out its
-    double zero at z = 1; factor what remains into ``k_raw * theta theta(1/z)``
-    with theta-roots outside the circle (Wilson's Newton iteration, in
+    Both inputs come from the pgf: phi is its survival numerator
+    ``(den - num) / (1 - z)`` normalized by its constant term, and its
+    spectral numerator is factored into ``k_raw * theta theta(1/z)`` with
+    theta-roots outside the circle (Wilson's Newton iteration, in
     :func:`factor_outside`).  The constant is cross-checked
     against :func:`scale_constant`; disagreement beyond 1e-9 relative is
     treated as a bug, not a warning.
@@ -104,33 +96,23 @@ def factorize(pgf: RationalPGF, M: int) -> ArmaModel:
 
 def _solve(pgf: RationalPGF) -> tuple[tuple[float, ...], tuple[float, ...], float, float]:
     """phi, theta, k and mu of :func:`factorize`, k cross-checked."""
-    P, Q = pgf.num, pgf.den
-    deflated = deflate_at_one(Q - P)
-    q0 = deflated.coeffs[0] if deflated.degree >= 0 else 0.0
+    survival = pgf.survival_numerator()
+    q0 = survival.coeffs[0] if survival.degree >= 0 else 0.0
     if q0 == 0.0:
         raise FactorizationError("degenerate AR factor: constant term vanished")
-    ar = deflated.scale(1.0 / q0)
-    phi = tuple(-c for c in ar.coeffs[1:])
+    phi = tuple(-c for c in survival.scale(1.0 / q0).coeffs[1:])
 
-    theta_p, k_raw = factor_outside(_spectral_numerator(pgf))
+    theta_p, k_raw = factor_outside(pgf.spectral_numerator())
     theta = tuple(theta_p.coeffs[1:])
-    k = k_raw / Q.coeffs[0] ** 2
+    k = k_raw / pgf.den.coeffs[0] ** 2
 
-    k_formula = scale_constant(pgf.variance(), Q, theta_p)
+    k_formula = scale_constant(pgf.variance(), pgf.den, theta_p)
     if abs(k - k_formula) > K_CROSS_CHECK_RTOL * abs(k_formula):
         raise FactorizationError(
             f"factorization inconsistent with the closed-form constant: "
             f"{k!r} vs {k_formula!r}"
         )
     return phi, theta, k, pgf.mean()
-
-
-def _spectral_numerator(pgf: RationalPGF) -> SymLaurent:
-    """``(Q(z)Q(1/z) - P(z)P(1/z)) / ((1 - z)(1 - 1/z))`` for ``pgf = P/Q``; computed
-    once and kept on the (immutable) pgf."""
-    if pgf._spectral is None:
-        object.__setattr__(pgf, "_spectral", divide_sym_by_unit_pair(sym_product_diff(pgf.num, pgf.den)))
-    return pgf._spectral
 
 
 def scale_constant(var_l: float, den: Poly, theta: Poly) -> float:
@@ -256,7 +238,7 @@ def second_moment_limit(pgf: RationalPGF) -> float:
     spectral numerator that :func:`factorize` splits, so the limit is exactly
     ``D(1) / Q(1)**2``.
     """
-    return _spectral_numerator(pgf)(1.0) / pgf.den(1.0) ** 2
+    return pgf.spectral_numerator()(1.0) / pgf.den(1.0) ** 2
 
 
 def unit_circle_grid() -> np.ndarray:

@@ -324,12 +324,14 @@ def _count_field(text, at, counts, sep: int) -> np.ndarray:
 def cmd_verify(parser, args) -> int:
     level = args.level or "quick"
     M = args.M if args.M is not None else 5
-    seed = _seed(parser, args, 20260812)
     if M < 1:
         parser.error("--M must be positive")
     if args.model is not None and (args.level == "full" or args.M is not None):
         parser.error("--model runs the model gates only: it takes neither --level full nor --M, "
                      "the model file gives M")
+    if args.model is not None and args.seed is not None:
+        parser.error("--model runs the model gates only, which draw nothing: it takes no --seed")
+    seed = None if args.model is not None else _seed(parser, args, 20260812)
     spec = None
     if args.head is not None or args.r is not None:
         _require(parser, args, ["head", "r"])

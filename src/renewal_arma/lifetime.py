@@ -5,6 +5,11 @@ A lifetime L takes values in {1, 2, ...} with ``P(L = n) = head[n-1]`` for
 where ``tail_first = (1 - r) * (1 - sum(head))`` is derived from normalization.
 Equivalently the hazard rate is constant and equal to ``1 - r`` from lag
 ``p + 1`` on.  With ``r = 0`` the support is finite.
+
+The lifetime's generating function is a :class:`RationalPGF` ``num / den``,
+and the pgf is the one place that derives from that pair the survival
+numerator (the moments and the AR polynomial) and the spectral numerator
+(the MA part and its scale).
 """
 
 from __future__ import annotations
@@ -15,7 +20,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import LatticeError, SingularEvaluationError, ValidationError
-from .polynomials import Poly, SymLaurent, rational_series, resultant
+from .polynomials import (
+    Poly,
+    SymLaurent,
+    deflate_at_one,
+    divide_sym_by_unit_pair,
+    rational_series,
+    resultant,
+    sym_product_diff,
+)
 
 SERIES_CHECK_TERMS = 200
 
@@ -36,10 +49,6 @@ class LifetimeSpec:
     def p(self) -> int:
         """Number of explicit head probabilities (hazard is constant after this lag)."""
         return len(self.head)
-
-    @property
-    def finite_support(self) -> bool:
-        return self.r == 0.0
 
     def pmfs(self, n: int) -> np.ndarray:
         """P(L = j) for j = 1..n as one array: the head up to j = p, then
@@ -154,11 +163,15 @@ def make_constant_hazard(head, r: float, *, allow_zero_f1: bool = False) -> Life
 class RationalPGF:
     """``F(z) = num(z) / den(z)`` in lowest terms with ``den(0) = 1`` and ``num(0) = 0``.
 
-    Two derived values are kept on the object once computed, both in
-    :mod:`.arma`: the spectral numerator ``_spectral`` and, after the first
-    successful factorization, its parts that do not depend on M
-    (``_factors``: phi, theta, k, mu and the causality report).  Neither
-    takes part in equality, hashing or ``dataclasses.replace``.
+    Everything else derives from two polynomials built from the pair.  The
+    survival numerator ``A = (den - num) / (1 - z)`` gives
+    ``A / den = sum_j P(L > j) z**j``, hence the moments, and ``A / A(0)`` is
+    the AR polynomial.  The spectral numerator
+    ``D = (den den* - num num*) / |1 - z|**2`` is what the MA part and its
+    scale are split from; it is built on the first call and kept in
+    ``_spectral``.  ``_factors`` keeps the parts of the first successful
+    :func:`.arma.factorize` that do not depend on M.  Neither field takes
+    part in equality, hashing or ``dataclasses.replace``.
     """
 
     num: Poly
@@ -176,21 +189,27 @@ class RationalPGF:
         """Power-series coefficients ``P(L = 0), ..., P(L = terms - 1)`` of num/den."""
         return rational_series(self.num, self.den, terms)
 
+    def survival_numerator(self) -> Poly:
+        """``A = (den - num) / (1 - z)``, so that ``A / den = sum_j P(L > j) z**j``."""
+        return deflate_at_one(self.den - self.num)
+
+    def spectral_numerator(self) -> SymLaurent:
+        """``D = (den(z)den(1/z) - num(z)num(1/z)) / ((1 - z)(1 - 1/z))``; built once
+        and kept on the (immutable) pgf."""
+        if self._spectral is None:
+            object.__setattr__(self, "_spectral", divide_sym_by_unit_pair(sym_product_diff(self.num, self.den)))
+        return self._spectral
+
     def mean(self) -> float:
-        """F'(1) by the quotient rule."""
-        p1, q1 = self.num(1.0), self.den(1.0)
-        dp, dq = self.num.derivative()(1.0), self.den.derivative()(1.0)
-        return (dp * q1 - p1 * dq) / q1 ** 2
+        """``S(1) = A(1) / den(1)``, with ``S = A / den`` the survival series."""
+        return self.survival_numerator()(1.0) / self.den(1.0)
 
     def variance(self) -> float:
-        """F''(1) + F'(1) - F'(1)**2 by quotient-rule derivatives."""
-        p1, q1 = self.num(1.0), self.den(1.0)
-        dp, dq = self.num.derivative()(1.0), self.den.derivative()(1.0)
-        d2p = self.num.derivative().derivative()(1.0)
-        d2q = self.den.derivative().derivative()(1.0)
-        f1 = (dp * q1 - p1 * dq) / q1 ** 2
-        f2 = ((d2p * q1 - p1 * d2q) * q1 - 2.0 * dq * (dp * q1 - p1 * dq)) / q1 ** 3
-        return f2 + f1 - f1 * f1
+        """``2 S'(1) + m - m**2``, since ``S'(1) = sum_j j P(L > j) = E[L(L - 1)] / 2``."""
+        a, q = self.survival_numerator(), self.den
+        a1, q1 = a(1.0), q(1.0)
+        m = a1 / q1
+        return 2.0 * (a.derivative()(1.0) * q1 - a1 * q.derivative()(1.0)) / q1 ** 2 + m - m * m
 
 
 def make_rational_pgf(num: Poly, den: Poly) -> RationalPGF:
@@ -220,10 +239,3 @@ def make_rational_pgf(num: Poly, den: Poly) -> RationalPGF:
 def spec_to_dict(spec: LifetimeSpec) -> dict:
     return {"head": list(spec.head), "r": spec.r}
 
-
-def spec_from_dict(obj: dict, *, allow_zero_f1: bool = False) -> LifetimeSpec:
-    try:
-        head, r = obj["head"], obj["r"]
-    except (KeyError, TypeError):
-        raise ValidationError("lifetime JSON must carry 'head' and 'r'") from None
-    return make_constant_hazard(head, r, allow_zero_f1=allow_zero_f1)

@@ -78,9 +78,6 @@ class Poly:
         """Evaluate at a real or complex point by Horner's rule."""
         return _horner(self.coeffs, z)
 
-    def __add__(self, other: "Poly") -> "Poly":
-        return Poly(tuple(a + b for a, b in itertools.zip_longest(self.coeffs, other.coeffs, fillvalue=0.0)))
-
     def __sub__(self, other: "Poly") -> "Poly":
         return Poly(tuple(a - b for a, b in itertools.zip_longest(self.coeffs, other.coeffs, fillvalue=0.0)))
 
@@ -217,14 +214,13 @@ def deflate_at_one(p: Poly) -> Poly:
 def sym_product_diff(P: Poly, Q: Poly) -> SymLaurent:
     """``Q(z)Q(1/z) - P(z)P(1/z)`` as a symmetric Laurent polynomial.
 
-    Coefficient ``c[h] = sum_j Q[j]Q[j+h] - sum_j P[j]P[j+h]``.
+    Coefficient ``c[h] = sum_j Q[j]Q[j+h] - sum_j P[j]P[j+h]``: lags 0.. of
+    each coefficient vector's autocorrelation ``np.convolve(x, x[::-1])``.
     """
-    d = max(P.degree, Q.degree, 0)
-    out = []
-    for h in range(d + 1):
-        qq = sum(Q.coeffs[j] * Q.coeffs[j + h] for j in range(max(0, len(Q.coeffs) - h)))
-        pp = sum(P.coeffs[j] * P.coeffs[j + h] for j in range(max(0, len(P.coeffs) - h)))
-        out.append(qq - pp)
+    out = np.zeros(max(P.degree, Q.degree, 0) + 1)
+    for sign, x in ((1.0, Q.coeffs), (-1.0, P.coeffs)):
+        if x:
+            out[: len(x)] += sign * np.convolve(x, x[::-1])[len(x) - 1 :]
     return SymLaurent(tuple(out))
 
 

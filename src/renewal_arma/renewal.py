@@ -44,11 +44,12 @@ def acvf_renewal(spec: LifetimeSpec, M: int, hmax: int) -> np.ndarray:
     return (M / mu) * (u - 1.0 / mu)
 
 
-def gen_eval_renewal(pgf: RationalPGF, M: int, mu: float, z):
+def gen_eval_renewal(pgf: RationalPGF, M: int, z):
     """Autocovariance generating function of the count series at ``z``, a
     point or an array of points.
 
-    ``(M/mu) * (1 - F(z)F(1/z)) / ((1 - F(z))(1 - F(1/z)))`` with F = pgf.
+    ``(M/mu) * (1 - F(z)F(1/z)) / ((1 - F(z))(1 - F(1/z)))`` with F = pgf and
+    mu = ``pgf.mean()``.
     The point z = 1 is a removable singularity and is rejected, as are z = 0
     and any pole of F; one such point rejects the whole array.
     """
@@ -61,4 +62,4 @@ def gen_eval_renewal(pgf: RationalPGF, M: int, mu: float, z):
     fw = pgf(1.0 / z)
     if np.any(np.abs(1.0 - fz) < 1e-14) or np.any(np.abs(1.0 - fw) < 1e-14):
         raise SingularEvaluationError("singular evaluation point")
-    return ((M / mu) * (1.0 - fz * fw) / ((1.0 - fz) * (1.0 - fw))).reshape(shape)[()]
+    return ((M / pgf.mean()) * (1.0 - fz * fw) / ((1.0 - fz) * (1.0 - fw))).reshape(shape)[()]

@@ -110,7 +110,7 @@ def analytic_gates(spec: LifetimeSpec, M: int) -> list[GateResult]:
     model = factorize(pgf, M)
 
     grid = unit_circle_grid()
-    renewal_side = gen_eval_renewal(pgf, M, mu, grid)
+    renewal_side = gen_eval_renewal(pgf, M, grid)
     rel = np.max(np.abs(gen_eval_arma(model, grid) - renewal_side) / np.abs(renewal_side))
     out.append(_gate("generating_function_identity", rel, 1e-9,
                      "ARMA vs renewal form on 64 circle points"))
@@ -162,9 +162,9 @@ def analytic_gates(spec: LifetimeSpec, M: int) -> list[GateResult]:
     out.append(_gate("pgf_series_matches_pmf", pmf_err, 1e-12, "long division vs closed-form pmf"))
 
     out.append(_gate("mean_routes", abs(spec.mean() - pgf.mean()), 1e-10,
-                     "closed form vs quotient rule"))
+                     "closed form vs survival series S(1) = A(1)/Q(1)"))
     out.append(_gate("variance_routes", abs(spec.variance() - pgf.variance()), 1e-10,
-                     "closed form vs quotient rule"))
+                     "closed form vs 2 S'(1) + mu - mu^2"))
 
     if spec.p == 2:
         law = window_law(spec, 3)

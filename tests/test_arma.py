@@ -227,7 +227,7 @@ class TestGenEvalArma:
         model = factorize(p2_spec.pgf(), 5)
         z = np.exp(1j * np.pi / 4)
         ga = gen_eval_arma(model, z)
-        gr = gen_eval_renewal(p2_spec.pgf(), 5, p2_spec.mean(), z)
+        gr = gen_eval_renewal(p2_spec.pgf(), 5, z)
         assert abs(ga - gr) < 1e-9 * abs(gr)
 
     def test_real_on_circle(self, small_battery):
@@ -240,10 +240,10 @@ class TestGenEvalArma:
     def test_identity_battery(self):
         grid = unit_circle_grid()
         for p, spec in make_battery(7, per_p=4):
-            pgf, mu = spec.pgf(), spec.mean()
+            pgf = spec.pgf()
             model = factorize(pgf, 4)
             for z in grid[::5]:
-                gr = gen_eval_renewal(pgf, 4, mu, z)
+                gr = gen_eval_renewal(pgf, 4, z)
                 assert abs(gen_eval_arma(model, z) - gr) <= 1e-9 * abs(gr)
 
 

@@ -281,6 +281,16 @@ class TestVerify:
         assert exc.value.code == 2
         assert "--model" in capsys.readouterr().err
 
+    def test_model_rejects_seed(self, capsys, tmp_path):
+        # the model gates draw nothing, so a seed would be recorded but never used
+        model_path = self._model_file(capsys, tmp_path, 2)
+        report_path = tmp_path / "report.json"
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--model", model_path, "--seed", "99", "--json-out", str(report_path)])
+        assert exc.value.code == 2
+        assert "--seed" in capsys.readouterr().err
+        assert not report_path.exists()
+
     def test_model_manifest_records_model_M(self, capsys, tmp_path):
         model_path = self._model_file(capsys, tmp_path, 2)
         report_path = tmp_path / "report.json"
@@ -291,6 +301,7 @@ class TestVerify:
         validate(report, "verify.schema.json")
         assert report["level"] == "quick"
         assert report["manifest"]["params"]["M"] == 2
+        assert report["manifest"]["params"]["seed"] is None
 
     def test_string_sigma2_is_gated_as_number(self, capsys, tmp_path):
         model_path = tmp_path / "model.json"

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,11 +11,10 @@ from renewal_arma.lifetime import (
     LifetimeSpec,
     make_constant_hazard,
     make_rational_pgf,
-    spec_from_dict,
-    spec_to_dict,
 )
 from renewal_arma.markov import age_chain
-from renewal_arma.polynomials import Poly
+from renewal_arma.polynomials import Poly, rational_series
+from conftest import dirichlet_specs
 
 
 @st.composite
@@ -74,11 +74,6 @@ class TestMakeConstantHazard:
     def test_two_point_support(self):
         spec = make_constant_hazard([0.9], 0.0)
         assert spec.mean() == pytest.approx(1.1)
-        assert spec.finite_support
-
-    def test_roundtrip_json(self):
-        spec = make_constant_hazard([0.2, 0.3], 0.6)
-        assert spec_from_dict(spec_to_dict(spec)) == spec
 
 
 class TestPmfMoments:
@@ -192,9 +187,26 @@ class TestPgf:
     @given(specs())
     @settings(max_examples=60, deadline=None)
     def test_quotient_rule_moments(self, spec):
+        # the pgf's moments come from its survival series A/Q, not the closed form
         pgf = spec.pgf()
         assert abs(pgf.mean() - spec.mean()) < 1e-10
         assert abs(pgf.variance() - spec.variance()) < 1e-10
+
+    @pytest.mark.parametrize("r", [0.99, 0.999, 0.9999])
+    def test_mean_near_unit_tail_rate(self, r):
+        # A(1)/Q(1) divides by 1 - r only once, so the mean keeps its relative precision as r -> 1
+        spec = make_constant_hazard([0.2, 0.3], r)
+        f1, f2, rr = (Fraction(x) for x in (*spec.head, spec.r))
+        tail = (1 - rr) * (1 - f1 - f2)
+        exact = f1 + 2 * f2 + tail * (3 - 2 * rr) / (1 - rr) ** 2
+        assert abs(Fraction(spec.pgf().mean()) - exact) / exact < 1e-14
+
+    def test_survival_series(self):
+        # A/Q with A = (Q - P)/(1 - z) is the survival series P(L > j), j = 0..n
+        for spec in dirichlet_specs(11):
+            pgf = spec.pgf()
+            series = rational_series(pgf.survival_numerator(), pgf.den, 301)
+            assert np.max(np.abs(series - spec.survivals(300))) <= 1e-14, spec
 
 
 class TestMakeRationalPgf:

@@ -182,6 +182,27 @@ class TestSymProductDiff:
         assert abs(got(z) - want) < 1e-12 + trimmed
         assert abs(got(z).imag) < 1e-12
 
+    @given(
+        st.lists(st.floats(-1.5, 1.5), min_size=1, max_size=9),
+        st.lists(st.floats(-1.5, 1.5), min_size=1, max_size=9),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_matches_lag_sums(self, pc, qc):
+        # reference: each lag's products summed exactly; numpy adds them in its own
+        # order (and may fuse multiply and add), so each coefficient may miss by the
+        # dot-product bound n * (eps * sum|terms| + smallest subnormal)
+        P, Q = Poly(tuple(pc)), Poly(tuple(qc))
+        got = sym_product_diff(P, Q).c
+        top = max(map(abs, got), default=0.0)
+        for h in range(max(P.degree, Q.degree, 0) + 1):
+            terms = [s * x[j] * x[j + h] for s, x in ((1.0, Q.coeffs), (-1.0, P.coeffs))
+                     for j in range(len(x) - h)]
+            eps, tiny = np.finfo(float).eps, np.finfo(float).smallest_subnormal
+            bound = len(terms) * (eps * math.fsum(map(abs, terms)) + tiny)
+            if h >= len(got):  # trimmed: below TRIM_REL * max|c|
+                bound += TRIM_REL * top
+            assert abs((got[h] if h < len(got) else 0.0) - math.fsum(terms)) <= bound, h
+
 
 class TestDivideSymByUnitPair:
     def test_unit_pair_itself(self):

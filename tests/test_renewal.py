@@ -91,30 +91,30 @@ class TestAcvf:
 class TestGenEvalRenewal:
     def test_memoryless_white_noise(self, geometric_spec):
         z = np.exp(1j * np.pi / 3)
-        val = gen_eval_renewal(geometric_spec.pgf(), 4, 2.0, z)
+        val = gen_eval_renewal(geometric_spec.pgf(), 4, z)
         assert val == pytest.approx(1.0)
 
     def test_real_positive_on_circle(self, small_battery):
         for _, spec in small_battery[::5]:
-            pgf, mu = spec.pgf(), spec.mean()
+            pgf = spec.pgf()
             for j in (1, 13, 31, 63):
                 z = np.exp(2j * np.pi * j / 64)
-                val = gen_eval_renewal(pgf, 3, mu, z)
+                val = gen_eval_renewal(pgf, 3, z)
                 assert abs(val.imag) < 1e-10 * abs(val)
                 assert val.real > 0
 
     def test_matches_truncated_series(self, p2_spec):
-        M, mu = 5, p2_spec.mean()
+        M = 5
         gamma = acvf_renewal(p2_spec, M, 200)
         assert abs(gamma[200]) < 1e-12
         z = np.exp(1j * np.pi / 4)
         series = gamma[0] + sum(gamma[h] * (z ** h + z ** (-h)) for h in range(1, 201))
-        val = gen_eval_renewal(p2_spec.pgf(), M, mu, z)
+        val = gen_eval_renewal(p2_spec.pgf(), M, z)
         assert abs(val - series) < 1e-8
 
     def test_series_agreement_on_grid(self):
         for _, spec in make_battery(77, per_p=2, ps=(1, 2, 3)):
-            M, mu = 2, spec.mean()
+            M = 2
             pgf = spec.pgf()
             hmax = 200
             gamma = acvf_renewal(spec, M, hmax)
@@ -124,23 +124,23 @@ class TestGenEvalRenewal:
             for j in (1, 9, 32, 50):
                 z = np.exp(2j * np.pi * j / 64)
                 series = gamma[0] + sum(gamma[h] * (z ** h + z ** (-h)) for h in range(1, hmax + 1))
-                val = gen_eval_renewal(pgf, M, mu, z)
+                val = gen_eval_renewal(pgf, M, z)
                 assert abs(val - series) <= 1e-8 * abs(series)
 
     def test_singular_points_rejected(self, p2_spec):
-        pgf, mu = p2_spec.pgf(), p2_spec.mean()
+        pgf = p2_spec.pgf()
         with pytest.raises(SingularEvaluationError):
-            gen_eval_renewal(pgf, 5, mu, 0.0)
+            gen_eval_renewal(pgf, 5, 0.0)
         with pytest.raises(SingularEvaluationError):
-            gen_eval_renewal(pgf, 5, mu, 1.0)
+            gen_eval_renewal(pgf, 5, 1.0)
 
 
     def test_array_matches_points(self, small_battery):
         grid = unit_circle_grid()
         for _, spec in small_battery:
-            pgf, mu = spec.pgf(), spec.mean()
-            points = np.array([gen_eval_renewal(pgf, 3, mu, z) for z in grid])
-            assert np.max(np.abs(gen_eval_renewal(pgf, 3, mu, grid) - points) / np.abs(points)) <= 1e-15
+            pgf = spec.pgf()
+            points = np.array([gen_eval_renewal(pgf, 3, z) for z in grid])
+            assert np.max(np.abs(gen_eval_renewal(pgf, 3, grid) - points) / np.abs(points)) <= 1e-15
 
     @pytest.mark.parametrize("bad", [0.0, 1.0, 2.0])
     @pytest.mark.parametrize("where", [0, 31, 62])
@@ -149,7 +149,7 @@ class TestGenEvalRenewal:
         z = unit_circle_grid()
         z[where] = bad
         with pytest.raises(SingularEvaluationError):
-            gen_eval_renewal(spec.pgf(), 5, spec.mean(), z)
+            gen_eval_renewal(spec.pgf(), 5, z)
 
 
 def test_convolution_identity_spot_check():
