@@ -54,7 +54,7 @@ def main():
           f"-> {'causal and invertible' if report.passes else 'INVALID'}")
 
     hmax = 8
-    theory = acvf_renewal(spec, args.M, hmax)
+    theory = acvf_renewal(spec.pgf(), args.M, hmax)
     via_model = arma_acvf(model, hmax)
     series = simulate_counts(SimConfig(spec=spec, M=args.M, steps=args.steps, seed=args.seed))
     empirical = sample_acvf(series, hmax)

@@ -40,7 +40,7 @@ from .lifetime import make_constant_hazard, make_rational_pgf, spec_to_dict
 from .markov import conditional_probs_p2, joint_probs_p2, mgf_trivariate, window_law
 from .polynomials import Poly
 from .simulate import SimConfig, simulate_counts
-from .verify import report_to_dict, verify_model, verify_spec
+from .verify import MC_SEED, report_to_dict, verify_model, verify_spec
 
 EXIT_OK = 0
 EXIT_ARGS = 2
@@ -331,7 +331,7 @@ def cmd_verify(parser, args) -> int:
                      "the model file gives M")
     if args.model is not None and args.seed is not None:
         parser.error("--model runs the model gates only, which draw nothing: it takes no --seed")
-    seed = None if args.model is not None else _seed(parser, args, 20260812)
+    seed = None if args.model is not None else _seed(parser, args, MC_SEED)
     spec = None
     if args.head is not None or args.r is not None:
         _require(parser, args, ["head", "r"])
@@ -344,7 +344,7 @@ def cmd_verify(parser, args) -> int:
                 raise ValidationError(f"malformed model JSON: {e}") from None
         model = model_from_dict(obj.get("model", obj) if isinstance(obj, dict) else obj)
         M = model.M
-        gates = verify_model(model, spec=spec)
+        gates = verify_model(model, pgf=spec.pgf() if spec else None)
     elif spec is not None:
         gates = verify_spec(spec, M=M, level=level, seed=seed)
     else:

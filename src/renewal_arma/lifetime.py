@@ -7,9 +7,9 @@ Equivalently the hazard rate is constant and equal to ``1 - r`` from lag
 ``p + 1`` on.  With ``r = 0`` the support is finite.
 
 The lifetime's generating function is a :class:`RationalPGF` ``num / den``,
-and the pgf is the one place that derives from that pair the survival
-numerator (the moments and the AR polynomial) and the spectral numerator
-(the MA part and its scale).
+the one place that derives from that pair the survival numerator (the moments,
+the delay law and the AR polynomial) and the spectral numerator (the MA part and k).
+The spec's closed forms serve the sampler, the age chain and the closed-form gates.
 """
 
 from __future__ import annotations

@@ -1,8 +1,8 @@
-"""Exact renewal-theoretic quantities for the count series.
+"""Exact renewal-theoretic quantities for the count series, from the pgf alone.
 
 Pure and delayed renewal probabilities, the autocovariance of the superposed
-count series, and direct evaluation of its autocovariance generating function
-from the lifetime's rational generating function.
+count series, and direct evaluation of its autocovariance generating function,
+for any lifetime with a rational generating function ``F = num / den``.
 """
 
 from __future__ import annotations
@@ -10,37 +10,35 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import SingularEvaluationError
-from .lifetime import LifetimeSpec, RationalPGF
+from .lifetime import RationalPGF
 from .polynomials import rational_series
 
 
-def renewal_probs(spec: LifetimeSpec, N: int) -> np.ndarray:
+def renewal_probs(pgf: RationalPGF, N: int) -> np.ndarray:
     """``u[0..N]`` for the pure process: u_0 = 1, u_n = sum_{j<n} u_j f_{n-j}.
 
-    u is the power series of 1 / (1 - F) = den / (den - num), F = num/den the
-    lifetime's pgf; u_n tends to 1/E[L].
+    u is the power series of 1 / (1 - F) = den / (den - num); u_n tends to 1/E[L].
     """
     if N < 0:
         raise ValueError("horizon must be nonnegative")
-    pgf = spec.pgf()
     return rational_series(pgf.den, pgf.den - pgf.num, N + 1)
 
 
-def delayed_probs(spec: LifetimeSpec, N: int) -> np.ndarray:
+def delayed_probs(pgf: RationalPGF, N: int) -> np.ndarray:
     """``nu[0..N]`` for the equilibrium-delayed process; constantly 1/E[L]."""
     if N < 0:
         raise ValueError("horizon must be nonnegative")
-    b = spec.survivals(N) / spec.mean()  # the equilibrium delay law b_n = P(L > n) / E[L]
-    u = renewal_probs(spec, N)
-    return np.convolve(b, u)[: N + 1]
+    # the equilibrium delay law b_n = P(L > n) / E[L]: the survival series A / den over the mean
+    b = rational_series(pgf.survival_numerator(), pgf.den, N + 1) / pgf.mean()
+    return np.convolve(b, renewal_probs(pgf, N))[: N + 1]
 
 
-def acvf_renewal(spec: LifetimeSpec, M: int, hmax: int) -> np.ndarray:
+def acvf_renewal(pgf: RationalPGF, M: int, hmax: int) -> np.ndarray:
     """Autocovariance gamma(0..hmax) of the count series: (M/mu) * (u_h - 1/mu)."""
     if M < 1:
         raise ValueError("superposition count must be positive")
-    mu = spec.mean()
-    u = renewal_probs(spec, hmax)
+    mu = pgf.mean()
+    u = renewal_probs(pgf, hmax)
     return (M / mu) * (u - 1.0 / mu)
 
 

@@ -29,13 +29,14 @@ from .arma import (
     closed_form_p2,
     factorize,
     gen_eval_arma,
+    phi_poly,
     scale_constant,
     second_moment_limit,
     theta_poly,
     unit_circle_grid,
 )
 from .errors import RenewalArmaError
-from .lifetime import LifetimeSpec
+from .lifetime import LifetimeSpec, RationalPGF
 from .markov import context_hazards, mgf_trivariate, step_pair_law, window_law, window_marginals
 from .polynomials import TOL_CIRCLE, Poly
 from .renewal import acvf_renewal, delayed_probs, gen_eval_renewal
@@ -49,6 +50,7 @@ from .simulate import (
 )
 
 N_BATCHES = 30
+MC_SEED = 20260812  # the default seed of the Monte-Carlo gates
 FULL_STEPS = 10 ** 6
 MIN_CONTEXT_COUNT = 1000  # mc_conditionals leaves out contexts seen fewer times
 
@@ -90,7 +92,7 @@ def verify_spec(
     spec: LifetimeSpec,
     M: int = 5,
     level: str = "quick",
-    seed: int = 20260812,
+    seed: int = MC_SEED,
 ) -> list[GateResult]:
     gates = analytic_gates(spec, M)
     if level == "full":
@@ -100,10 +102,10 @@ def verify_spec(
 
 def analytic_gates(spec: LifetimeSpec, M: int) -> list[GateResult]:
     out = []
-    mu = spec.mean()
     pgf = spec.pgf()
+    mu = pgf.mean()
 
-    nu = delayed_probs(spec, 500)
+    nu = delayed_probs(pgf, 500)
     out.append(_gate("stationary_delayed_probs", np.max(np.abs(nu - 1.0 / mu)), 1e-12,
                      "max |nu_n - 1/mu| over n <= 500"))
 
@@ -115,7 +117,7 @@ def analytic_gates(spec: LifetimeSpec, M: int) -> list[GateResult]:
     out.append(_gate("generating_function_identity", rel, 1e-9,
                      "ARMA vs renewal form on 64 circle points"))
 
-    gamma_renewal = acvf_renewal(spec, M, 50)
+    gamma_renewal = acvf_renewal(pgf, M, 50)
     gamma_model = arma_acvf(model, 50)
     out.append(_gate("acvf_identity", np.max(np.abs(gamma_model - gamma_renewal)), 1e-8,
                      "|gamma_model(h) - gamma_renewal(h)|, h <= 50"))
@@ -148,12 +150,8 @@ def analytic_gates(spec: LifetimeSpec, M: int) -> list[GateResult]:
     out.append(_gate("variance_limit", abs(second_moment_limit(pgf) - var_l), 1e-6,
                      "exact generating-function limit D(1)/Q(1)^2 vs Var[L]"))
 
-    deflate_check = (Poly((1.0, -1.0)) * Poly((1.0,) + tuple(-c for c in model.phi))).scale(pgf.den.coeffs[0])
-    residual = max(
-        abs(a - b) for a, b in zip(
-            list(deflate_check.coeffs) + [0.0] * 8, list((pgf.den - pgf.num).coeffs) + [0.0] * 8
-        )
-    )
+    deflate_check = (Poly((1.0, -1.0)) * phi_poly(model)).scale(pgf.den.coeffs[0])
+    residual = max(map(abs, (deflate_check - (pgf.den - pgf.num)).coeffs), default=0.0)
     out.append(_gate("deflation_reconstruction", residual, 1e-12,
                      "(1-z) * AR polynomial reproduces den - num"))
 
@@ -180,7 +178,8 @@ def analytic_gates(spec: LifetimeSpec, M: int) -> list[GateResult]:
 
 def monte_carlo_gates(spec: LifetimeSpec, M: int, seed: int) -> list[GateResult]:
     out = []
-    mu = spec.mean()
+    pgf = spec.pgf()
+    mu = pgf.mean()
     series = simulate_counts(SimConfig(spec=spec, M=M, steps=FULL_STEPS, seed=seed))
     y = series.values.astype(float)
 
@@ -195,7 +194,7 @@ def monte_carlo_gates(spec: LifetimeSpec, M: int, seed: int) -> list[GateResult]
     )
     out.append(_gate("mc_stationarity_thirds", worst, 5.0, "mean drift across thirds, units of SE"))
 
-    gamma = acvf_renewal(spec, M, 10)
+    gamma = acvf_renewal(pgf, M, 10)
     ghat = sample_acvf(series, 10)
     batch_len = FULL_STEPS // N_BATCHES
     batch_acvf = np.array([
@@ -205,21 +204,21 @@ def monte_carlo_gates(spec: LifetimeSpec, M: int, seed: int) -> list[GateResult]
     worst = max(abs(ghat[h] - gamma[h]) / (5 * se_h[h]) for h in range(11))
     out.append(_gate("mc_acvf", worst, 1.0, "max_h |acvf_hat - acvf| / (5*SE)"))
 
-    out.append(_chi_square_gate(spec, M, series))
+    out.append(_chi_square_gate(pgf, M, series))
 
     if spec.p == 2:
         out += _markov_gates(spec, M, seed, series)
     return out
 
 
-def _chi_square_gate(spec: LifetimeSpec, M: int, series) -> GateResult:
+def _chi_square_gate(pgf: RationalPGF, M: int, series) -> GateResult:
     # Pearson's test needs (nearly) independent draws; thin by the lag at
     # which the theoretical autocovariance has decayed away.
-    gamma = acvf_renewal(spec, M, 256)
+    gamma = acvf_renewal(pgf, M, 256)
     below = np.nonzero(np.abs(gamma) < 1e-4 * gamma[0])[0]
     stride = int(below[0]) if below.size else 256
     y = series.values[:: max(stride, 1)]
-    p_marginal = 1.0 / spec.mean()
+    p_marginal = 1.0 / pgf.mean()
     probs = stats.binom.pmf(np.arange(M + 1), M, p_marginal)
     observed = np.bincount(y, minlength=M + 1).astype(float)
     expected = probs * len(y)
@@ -282,15 +281,16 @@ def _markov_gates(spec: LifetimeSpec, M: int, seed: int, series) -> list[GateRes
     return out
 
 
-def verify_model(model, spec: LifetimeSpec | None = None) -> list[GateResult]:
-    """Gates for a deserialized model: causality, invertibility, consistency."""
+def verify_model(model, pgf: RationalPGF | None = None) -> list[GateResult]:
+    """Gates for a deserialized model: causality, invertibility, consistency,
+    and, given the lifetime's ``pgf``, the model ACVF against the renewal ACVF."""
     out = [_causal_gate(check_causal_invertible(model))]
     out.append(_gate("positive_constants", min(model.k, model.sigma2), 0.0,
                      "k and sigma2 must be positive", larger_is_better=True))
     out.append(_gate("sigma2_consistency", abs(model.sigma2 - model.k * model.M / model.mu),
                      1e-12 * max(abs(model.sigma2), 1.0), "sigma2 equals k*M/mu"))
-    if spec is not None:
-        gamma = acvf_renewal(spec, model.M, 50)
+    if pgf is not None:
+        gamma = acvf_renewal(pgf, model.M, 50)
         try:
             gamma_model = arma_acvf(model, 50)
             err = float(np.max(np.abs(gamma_model - gamma)))

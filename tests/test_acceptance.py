@@ -87,7 +87,7 @@ def test_c02_acvf_equivalence(factorized):
     t0 = time.perf_counter()
     worst = 0.0
     for _, spec, _, model in models:
-        diff = np.max(np.abs(arma_acvf(model, 50) - acvf_renewal(spec, M_BATTERY, 50)))
+        diff = np.max(np.abs(arma_acvf(model, 50) - acvf_renewal(spec.pgf(), M_BATTERY, 50)))
         worst = max(worst, float(diff))
     elapsed = time.perf_counter() - t0
     ok = worst < 1e-8 and elapsed < 30.0
@@ -156,7 +156,7 @@ def test_c06_causality_invertibility(factorized):
 def test_c07_stationarity(battery):
     worst = 0.0
     for _, spec in battery:
-        nu = delayed_probs(spec, 500)
+        nu = delayed_probs(spec.pgf(), 500)
         worst = max(worst, float(np.max(np.abs(nu - 1.0 / spec.mean()))))
     ok = worst < 1e-12
     emit(7, "equilibrium-delay stationarity", ok,
@@ -182,7 +182,7 @@ def test_c08_white_noise_degeneracy():
 def test_c09_negative_autocorrelation(p2_series):
     spec = p2_series.config.spec
     t0 = time.perf_counter()
-    gamma1 = acvf_renewal(spec, 5, 1)[1]
+    gamma1 = acvf_renewal(spec.pgf(), 5, 1)[1]
     ghat1 = sample_acvf(p2_series, 1)[1]
     y = p2_series.values.astype(float)
     y = y[: len(y) // 30 * 30]
@@ -201,7 +201,7 @@ def test_c10_binomial_marginal(battery):
     pvals = []
     for i, spec in enumerate(picks):
         series = simulate_counts(SimConfig(spec=spec, M=4, steps=10 ** 6, seed=MC_SEED + i))
-        gate = _chi_square_gate(spec, 4, series)
+        gate = _chi_square_gate(spec.pgf(), 4, series)
         pvals.append(gate.measured)
         ok = ok and gate.passed
     emit(10, "binomial marginal (chi-square)", ok,

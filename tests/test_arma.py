@@ -206,7 +206,7 @@ class TestArmaAcvf:
 
     def test_matches_renewal_side(self, p2_spec):
         model = factorize(p2_spec.pgf(), 5)
-        want = acvf_renewal(p2_spec, 5, 50)
+        want = acvf_renewal(p2_spec.pgf(), 5, 50)
         got = arma_acvf(model, 50)
         assert np.max(np.abs(got - want)) < 1e-8
 

@@ -86,7 +86,7 @@ class TestAgeChain:
     def test_pair_cells_are_renewal_probs(self):
         # P(X_t = 1, X_{t-h} = 1) = u_h / mu: a renewal at t - h, then one h steps later
         for spec in chain_specs():
-            u = renewal_probs(spec, 6)
+            u = renewal_probs(spec.pgf(), 6)
             for h in range(1, 7):
                 law = window_law(spec, h + 1)
                 codes = np.arange(len(law))
@@ -226,7 +226,7 @@ class TestMgfTrivariate:
     def test_mixed_partials_give_acvf(self, p2_spec):
         law = window_law(p2_spec, 3)
         M, h = 5, 1e-3
-        gamma = acvf_renewal(p2_spec, M, 2)
+        gamma = acvf_renewal(p2_spec.pgf(), M, 2)
         mean = M / 3.05
 
         def mixed(i):

@@ -71,7 +71,7 @@ class TestRationalSeries:
 
     def test_renewal_probs_match_quadratic_recursion(self, specs):
         for spec in specs:
-            err = np.max(np.abs(renewal_probs(spec, N) - renewal_recursion(spec, N)))
+            err = np.max(np.abs(renewal_probs(spec.pgf(), N) - renewal_recursion(spec, N)))
             assert err <= TOL, (spec.p, err)
 
     def test_matches_psi_loop(self, specs, small_battery):

@@ -176,7 +176,7 @@ class TestSampleAcvf:
     def test_matches_theory_p2(self, p2_spec):
         series = simulate_counts(SimConfig(spec=p2_spec, M=5, steps=10 ** 6, seed=22))
         g = sample_acvf(series, 1)
-        gamma = acvf_renewal(p2_spec, 5, 1)
+        gamma = acvf_renewal(p2_spec.pgf(), 5, 1)
         assert g[1] < 0
         y = series.values.astype(float)
         batches = np.array([sample_acvf(chunk, 1)[1] for chunk in np.split(y, 25)])
