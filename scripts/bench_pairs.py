@@ -1,0 +1,95 @@
+#!/usr/bin/env python3
+"""Alternated parent/change runs of one benchmark workload.
+
+    python3 scripts/bench_pairs.py --parent DIR --workload NAME [--pairs N] [--seconds S]
+
+Runs ``perfbench/run.py`` in the parent checkout DIR and in this checkout,
+one after the other, N times.  The side that runs first alternates from
+pair to pair, and both runs of pair i take the seed i.  Every pair's
+end-to-end metrics are printed, then, for each metric, both medians, their
+ratio (change / parent), both sides' quartiles and how many pairs the change
+won; ties count for neither side.  The metrics, their units and which direction is better come
+from this checkout's ``BENCHMARK.json``, and ``--seconds`` defaults to its
+run length.  Exits with 1 if any run fails or reports an incorrect output.
+"""
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+    """One untraced ``perfbench/run.py`` run in ``checkout``: its JSON summary line."""
+    proc = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+                           "--seconds", str(seconds), "--trace", "0"],
+                          cwd=checkout, capture_output=True, text=True)
+    lines = proc.stdout.strip().splitlines()
+    if proc.returncode != 0 or not lines:
+        return {"correct": False, "error": proc.stderr.strip()[-500:] or f"exit {proc.returncode}"}
+    return json.loads(lines[-1])
+
+
+def quartiles(values):
+    q = statistics.quantiles(values, n=4, method="inclusive") if len(values) > 1 else values * 3
+    return q[0], q[2]
+
+
+def main(argv=None) -> int:
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text())
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--parent", type=Path, required=True, help="root of the parent commit's checkout")
+    ap.add_argument("--workload", required=True, choices=[w["name"] for w in bench["workloads"]])
+    ap.add_argument("--pairs", type=int, default=10)
+    ap.add_argument("--seconds", type=float, default=bench["run_seconds"])
+    args = ap.parse_args(argv)
+    if args.pairs < 1 or args.seconds <= 0:
+        ap.error("--pairs and --seconds must be positive")
+    if not (args.parent / "perfbench" / "run.py").is_file():
+        ap.error(f"no perfbench/run.py under {args.parent}")
+    metrics = bench["end_to_end"]
+
+    sides = {"parent": args.parent.resolve(), "change": ROOT}
+    runs = {"parent": [], "change": []}
+    bad = []
+    for i in range(args.pairs):
+        seed = i + 1
+        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+        for side in order:
+            result = run_once(sides[side], args.workload, seed, args.seconds)
+            runs[side].append(result)
+            if not result.get("correct"):
+                bad.append(f"pair {seed} {side}: {result.get('error', 'incorrect output')}")
+        cells = []
+        for m in metrics:
+            got = [runs[side][-1].get("metrics", {}).get(m["name"], {}).get("value") for side in sides]
+            cells.append(f"{m['name']} " + " / ".join("-" if v is None else f"{v:.4g}" for v in got))
+        print(f"pair {seed} ({order[0]} first; parent / change): " + ", ".join(cells))
+
+    print(f"\n{args.workload}, {args.pairs} pairs of {args.seconds:g} s")
+    print(f"{'metric':<12} {'unit':<4} {'parent':>10} {'change':>10} {'ratio':>7} "
+          f"{'parent q1-q3':>21} {'change q1-q3':>21} {'change won':>11}")
+    for m in metrics:
+        values = {side: [r["metrics"][m["name"]]["value"] for r in runs[side] if "metrics" in r]
+                  for side in sides}
+        if len(values["parent"]) != args.pairs or len(values["change"]) != args.pairs:
+            print(f"{m['name']:<12} {m['unit']:<4} {'missing':>10}")
+            continue
+        sign = 1.0 if m["better"] == "higher" else -1.0
+        won = sum(sign * (c - p) > 0 for p, c in zip(values["parent"], values["change"]))
+        med = {side: statistics.median(v) for side, v in values.items()}
+        ratio = med["change"] / med["parent"] if med["parent"] else float("nan")
+        spread = " ".join("{:>21}".format("{:.4g}-{:.4g}".format(*quartiles(values[side]))) for side in sides)
+        print(f"{m['name']:<12} {m['unit']:<4} {med['parent']:>10.4g} {med['change']:>10.4g} {ratio:>7.3f} "
+              f"{spread} {won:>6} of {args.pairs}")
+    for line in bad:
+        print(f"bench_pairs: {line}", file=sys.stderr)
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

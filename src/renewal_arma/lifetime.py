@@ -168,14 +168,16 @@ class RationalPGF:
     ``A / den = sum_j P(L > j) z**j``, hence the moments, and ``A / A(0)`` is
     the AR polynomial.  The spectral numerator
     ``D = (den den* - num num*) / |1 - z|**2`` is what the MA part and its
-    scale are split from; it is built on the first call and kept in
-    ``_spectral``.  ``_factors`` keeps the parts of the first successful
-    :func:`.arma.factorize` that do not depend on M.  Neither field takes
-    part in equality, hashing or ``dataclasses.replace``.
+    scale are split from.  Each is built on its first call and kept, A in
+    ``_survival`` and D in ``_spectral``.  ``_factors`` keeps the parts of
+    the first successful :func:`.arma.factorize` that do not depend on M.
+    None of the three fields takes part in equality, hashing or
+    ``dataclasses.replace``.
     """
 
     num: Poly
     den: Poly
+    _survival: Poly | None = field(default=None, init=False, repr=False, compare=False)
     _spectral: SymLaurent | None = field(default=None, init=False, repr=False, compare=False)
     _factors: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
@@ -190,8 +192,11 @@ class RationalPGF:
         return rational_series(self.num, self.den, terms)
 
     def survival_numerator(self) -> Poly:
-        """``A = (den - num) / (1 - z)``, so that ``A / den = sum_j P(L > j) z**j``."""
-        return deflate_at_one(self.den - self.num)
+        """``A = (den - num) / (1 - z)``, so that ``A / den = sum_j P(L > j) z**j``;
+        built once and kept on the (immutable) pgf."""
+        if self._survival is None:
+            object.__setattr__(self, "_survival", deflate_at_one(self.den - self.num))
+        return self._survival
 
     def spectral_numerator(self) -> SymLaurent:
         """``D = (den(z)den(1/z) - num(z)num(1/z)) / ((1 - z)(1 - 1/z))``; built once

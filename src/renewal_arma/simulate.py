@@ -5,18 +5,22 @@ stream, derived deterministically from the run seed as
 ``SeedSequence(seed, spawn_key=(chain,))``.  Every delay and lifetime is a
 function of one uniform, taken in stream order, so the output depends only on
 each chain's uniform stream: it is bit-identical for a given configuration,
-whatever sizes the uniforms are drawn in.
+whatever sizes the uniforms are drawn in.  That freedom lets one kernel,
+:func:`_superpose`, map the uniforms of many short chains, or a cache-sized
+piece of one long chain, in a block of at most ``BLOCK`` uniforms.
 """
 
 from __future__ import annotations
 
-import bisect
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .lifetime import LifetimeSpec
+
+BLOCK = 2 ** 15  # uniforms mapped per numpy call: a block stays in cache
 
 
 @dataclass(frozen=True)
@@ -77,35 +81,30 @@ class DrawLaw:
         # no geometric tail, or a head mass that rounds to 1 so no uniform passes it
         return cls(tuple(cdf), 0.0, 0.0, offset)
 
-    def draw(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        u = rng.random(n)
+    def map(self, u: np.ndarray) -> np.ndarray:
+        """The draw of each uniform in ``u``, element by element, in the shape of ``u``."""
         cuts = self.cuts
-        if self.tail > 0.0:
-            # the geometric excess over the whole batch, zeroed on head draws
-            x = np.subtract(1.0, u)
-            x /= self.tail
-            np.log(x, out=x)
-            x /= self.log_r
-            np.floor(x, out=x)
-            if cuts:
-                x *= u >= cuts[-1]
-            k = x.astype(np.int64)
-        else:
-            k = np.zeros(n, dtype=np.int64)
+        # the offset plus the number of cuts at or below u, in the smallest integers that hold it
+        hits = np.full(np.shape(u), self.offset, dtype=np.min_scalar_type(self.offset + len(cuts)))
         for c in cuts:
-            k += u >= c
-        if self.offset:
-            k += self.offset
+            np.add(hits, u >= c, out=hits)
+        if self.tail == 0.0:
+            return hits.astype(np.int64)
+        # the geometric excess over the whole block: >= 0 on a tail draw, where
+        # truncation is floor; on a head draw fl(1 - u) >= tail, so it is <= 0
+        # and clips to 0
+        x = np.subtract(1.0, u)
+        x /= self.tail
+        np.log(x, out=x)
+        x /= self.log_r
+        k = x.astype(np.int64)
+        if cuts:
+            np.maximum(k, 0, out=k)
+        k += hits
         return k
 
-    def draw_one(self, rng: np.random.Generator) -> int:
-        """One draw, as ``draw(1, rng)[0]`` gives it, without the whole-batch passes."""
-        u = rng.random()
-        k = bisect.bisect_right(self.cuts, u)
-        if self.tail > 0.0 and k == len(self.cuts):
-            # the logarithm on a 1-element array, as the batch pass takes it
-            k += math.floor(np.log(np.array([(1.0 - u) / self.tail]))[0] / self.log_r)
-        return k + self.offset
+    def draw(self, n: int, rng: np.random.Generator) -> np.ndarray:
+        return self.map(rng.random(n))
 
 
 def lifetime_law(spec: LifetimeSpec) -> DrawLaw:
@@ -119,7 +118,7 @@ def delay_law(spec: LifetimeSpec) -> DrawLaw:
 
 
 def sample_lifetimes(law: DrawLaw, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw n lifetimes from ``law``, a :func:`lifetime_law`; every batch of lifetimes goes through here."""
+    """Draw n lifetimes from ``law``, a :func:`lifetime_law`, off the next n uniforms of ``rng``."""
     return law.draw(n, rng)
 
 
@@ -140,53 +139,62 @@ class ChainLaws:
 
     def batch(self, span: int) -> int:
         """Lifetimes to draw for ``span`` steps: the mean count plus four sd, so a
-        second batch is rare."""
+        chain rarely needs a second round of :func:`_superpose`."""
         return int(span / self.mu + 4.0 * self.sd * math.sqrt(span)) + 16
 
 
-def chain_epochs(laws: ChainLaws, steps: int, rng: np.random.Generator) -> np.ndarray:
-    """Sorted renewal epochs below ``steps`` of one stationary chain.
+def _superpose(laws: ChainLaws, steps: int, rngs, out: np.ndarray) -> None:
+    """Add 1 into ``out`` (int64 counts, or the uint8 bits of one chain) at each
+    renewal epoch below ``steps`` of each stationary chain, one per generator.
 
-    The first renewal happens after an equilibrium delay, subsequent ones
-    after independent lifetimes.  Epochs are a function of the uniform
-    stream alone: the batch sizes only decide how many uniforms each
-    ``rng.random`` call takes.
+    A chain's first renewal comes after an equilibrium delay, drawn from its
+    first uniform, and each later one after a lifetime.  Chains run in groups
+    that fill a block of ``BLOCK`` uniforms, one row each, for as many rounds
+    as the longest needs.  Every round fills each live row from its own
+    generator, in stream order, so no epoch depends on the block size.
     """
-    t = laws.delay.draw_one(rng)
-    if t >= steps:
-        return np.empty(0, dtype=np.int64)
-    parts = [np.array([t], dtype=np.int64)]
-    while True:
-        # through the module attribute, where perfbench's tracer counts lifetimes drawn
-        ep = sample_lifetimes(laws.lifetime, laws.batch(steps - t), rng)
-        ep[0] += t
-        np.cumsum(ep, out=ep)
-        if ep[-1] >= steps:
-            parts.append(ep[: np.searchsorted(ep, steps)])
-            return np.concatenate(parts)
-        parts.append(ep)
-        t = int(ep[-1])
+    width = min(laws.batch(steps), BLOCK)
+    rngs = iter(rngs)
+    while group := list(itertools.islice(rngs, BLOCK // width)):
+        t = laws.delay.map(np.array([rng.random() for rng in group]))
+        live = t < steps
+        np.add.at(out, t[live], 1)  # two chains may share a delay
+        rows, carry = list(itertools.compress(group, live)), t[live]
+        u = np.empty((len(rows), width))
+        while rows:
+            block = u[: len(rows)]
+            for rng, row in zip(rows, block):
+                rng.random(out=row)
+            e = laws.lifetime.map(block)
+            e[:, 0] += carry
+            np.cumsum(e, axis=1, out=e)
+            if len(rows) == 1:  # a chain's epochs are distinct
+                out[e[0, : np.searchsorted(e[0], steps)]] += 1
+            else:  # chains may share an epoch
+                np.add.at(out, e[e < steps], 1)
+            live = e[:, -1] < steps
+            rows, carry = list(itertools.compress(rows, live)), e[live, -1]
 
 
 def simulate_chain(spec: LifetimeSpec, steps: int, rng: np.random.Generator) -> np.ndarray:
-    """One stationary renewal indicator chain X_0..X_{steps-1}: bits set at its renewal epochs."""
+    """One stationary renewal indicator chain X_0..X_{steps-1}: bits set at its
+    renewal epochs, written straight into the uint8 result."""
     bits = np.zeros(steps, dtype=np.uint8)
-    bits[chain_epochs(ChainLaws.of(spec), steps, rng)] = 1
+    _superpose(ChainLaws.of(spec), steps, [rng], bits)
     return bits
 
 
 def simulate_counts(config: SimConfig, threads: int | None = None) -> CountSeries:
     """Superpose M independent chains into a count series.
 
-    Pure function of ``config``: replay is bit-identical.  Chains run one
-    at a time, each added in by index (a chain's epochs are distinct), so
-    the M chains are never held at once.  ``threads`` is accepted for
-    compatibility and ignored.
+    Pure function of ``config``: replay is bit-identical.  Short chains share
+    the numpy calls of a block and long ones are cut into blocks; each group's
+    generators are built just before it runs, so the M chains are never held
+    at once.  ``threads`` is accepted for compatibility and ignored.
     """
-    laws = ChainLaws.of(config.spec)
     values = np.zeros(config.steps, dtype=np.int64)
-    for i in range(config.M):
-        values[chain_epochs(laws, config.steps, chain_rng(config.seed, i))] += 1
+    rngs = (chain_rng(config.seed, i) for i in range(config.M))
+    _superpose(ChainLaws.of(config.spec), config.steps, rngs, values)
     return CountSeries(values=values, config=config)
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -13,7 +14,7 @@ from renewal_arma.lifetime import (
     make_rational_pgf,
 )
 from renewal_arma.markov import age_chain
-from renewal_arma.polynomials import Poly, rational_series
+from renewal_arma.polynomials import Poly, deflate_at_one, rational_series
 from conftest import dirichlet_specs
 
 
@@ -207,6 +208,15 @@ class TestPgf:
             pgf = spec.pgf()
             series = rational_series(pgf.survival_numerator(), pgf.den, 301)
             assert np.max(np.abs(series - spec.survivals(300))) <= 1e-14, spec
+
+    def test_survival_numerator_kept(self, p2_spec):
+        # built on the first call and kept, outside equality and replace
+        pgf = p2_spec.pgf()
+        a = pgf.survival_numerator()
+        assert pgf.survival_numerator() is a
+        assert a == deflate_at_one(pgf.den - pgf.num)
+        assert pgf == dataclasses.replace(pgf)
+        assert dataclasses.replace(pgf)._survival is None
 
 
 class TestMakeRationalPgf:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from renewal_arma import SimConfig, acvf_renewal, make_constant_hazard, sample_acvf, simulate_counts
+from renewal_arma import SimConfig, acvf_renewal, make_constant_hazard, sample_acvf, simulate, simulate_counts
 from renewal_arma.simulate import (
     ChainLaws,
     chain_rng,
@@ -342,8 +342,7 @@ def test_draws_match_reference(spec, extra):
     assert np.array_equal(lifetime_law(spec).draw(n, Uniforms(u)), ref_sample_lifetimes(spec, n, Uniforms(u)))
     want = ref_sample_delays(spec, n, Uniforms(u))
     assert np.array_equal(delay_law(spec).draw(n, Uniforms(u)), want)
-    one = Uniforms(u)
-    assert [delay_law(spec).draw_one(one) for _ in range(n)] == want.tolist()
+    assert np.array_equal(delay_law(spec).map(u), want)
 
 
 @pytest.mark.parametrize("steps", [1, 7, 10 ** 4])
@@ -370,3 +369,31 @@ def test_batch_size_does_not_change_output(p2_spec, monkeypatch, size):
     want = ref_simulate_counts(config)
     monkeypatch.setattr(ChainLaws, "batch", lambda self, span: size)
     assert np.array_equal(simulate_counts(config).values, want)
+
+
+@pytest.mark.parametrize("block", [1, 7, 64])
+@pytest.mark.parametrize("steps", [7, 2000])
+@pytest.mark.parametrize("M", [3, 300])
+def test_block_size_does_not_change_output(p2_spec, monkeypatch, block, steps, M):
+    # small blocks split the M chains into groups of one or two and cut a
+    # chain into many rounds; at M = 300 the chains of a group can share a
+    # delay (test_batch_size_does_not_change_output finishes the rows of one
+    # group in different rounds)
+    config = SimConfig(spec=p2_spec, M=M, steps=steps, seed=5)
+    want = ref_simulate_counts(config)
+    monkeypatch.setattr(simulate, "BLOCK", block)
+    assert np.array_equal(simulate_counts(config).values, want)
+    for chain in range(3):
+        got = simulate_chain(p2_spec, steps, chain_rng(5, chain))
+        assert np.array_equal(got, ref_simulate_chain(p2_spec, steps, chain_rng(5, chain)))
+
+
+@pytest.mark.parametrize("head, r", [((0.2, 0.3), 0.6), ((0.5, 0.5), 0.0), ((), 0.5)])
+def test_map_is_elementwise(head, r):
+    # a 2-D block maps as its rows do one by one
+    spec = make_constant_hazard(head, r)
+    u = np.concatenate([edge_uniforms(spec), chain_rng(80, 0).random(301 - len(edge_uniforms(spec)))])
+    block = u.reshape(7, 43)
+    for law in (lifetime_law(spec), delay_law(spec)):
+        assert np.array_equal(law.map(block), np.array([law.map(row) for row in block]))
+        assert np.array_equal(law.map(block).ravel(), law.map(u))
