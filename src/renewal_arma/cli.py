@@ -255,22 +255,20 @@ def _series_blocks(values, meta, fmt):
         low = _low_digits()
         for lo, hi, d, k in _t_blocks(len(values)):
             counts = values[lo:hi]
-            narrow, wide, width = _count_widths(counts)
-            text = np.empty((hi - lo, d + width + 2), dtype=np.uint8)
+            text = np.empty((hi - lo, d + _count_width(counts) + 2), dtype=np.uint8)
             text[:, : d - k] = np.frombuffer(str(lo)[: d - k].encode(), dtype=np.uint8)
             for j in range(k):  # column by column: a row-major (rows, k) copy is about 3x slower
                 text[:, d - k + j] = low[BLOCK_DIGITS - k + j, : hi - lo]
             text[:, d] = ord(",")
-            yield _count_field(text, d + 1, counts, ord("\n"), narrow, wide)
+            yield _count_field(text, d + 1, counts, ord("\n"))
         return
     doc = json.dumps({"schema_version": 1, "meta": meta, "values": []}, separators=(",", ":"),
                      sort_keys=True)
     yield doc[:-2].encode()  # "values" sorts last, so doc ends in "[]}"; the numbers go between
     for lo in range(0, len(values), 10 ** BLOCK_DIGITS):
         counts = values[lo : lo + 10 ** BLOCK_DIGITS]
-        narrow, wide, width = _count_widths(counts)
-        block = _count_field(np.empty((len(counts), width + 1), dtype=np.uint8), 0, counts, ord(","),
-                             narrow, wide)
+        block = _count_field(np.empty((len(counts), _count_width(counts) + 1), dtype=np.uint8),
+                             0, counts, ord(","))
         yield block if lo + len(counts) < len(values) else block[:-1]
     yield b"]}\n"
 
@@ -299,55 +297,28 @@ def _low_digits() -> np.ndarray:
     return table
 
 
-def _count_widths(counts) -> tuple[int, int, int]:
-    """Digits of a block's narrowest count, of its widest, and of its count
-    field: the narrowest's when under a quarter of the counts are wider, else
-    the widest's.  :func:`_count_field` patches each count whose width differs
-    from the field's, and an insertion costs it about three deletions."""
-    wide = len(str(int(counts.max())))
-    narrow = 1 if wide == 1 else len(str(int(counts.min())))  # counts are not negative
-    if narrow < wide and 4 * np.count_nonzero(counts >= 10 ** narrow) < len(counts):
-        return narrow, wide, narrow
-    return narrow, wide, wide
+def _count_width(counts) -> int:
+    return len(str(int(counts.max())))
 
 
-def _count_field(text, at, counts, sep: int, narrow: int, wide: int) -> np.ndarray:
-    """Fill columns ``at`` to the end of the uint8 row matrix ``text``: the
-    last digits of each count, zero-padded to the field, then the separator
-    byte.  ``narrow`` and ``wide`` are the digits of the narrowest and the
-    widest count.  Returns the rows as one flat array with every count in
-    full decimal: a count narrower than the field drops its leading zeros,
-    and a wider one has its high digits inserted in front of the field.
-    Both are masked copies, whose cost grows with the rows they patch."""
+def _count_field(text, at, counts, sep: int) -> np.ndarray:
+    """Fill columns ``at`` to the end of the uint8 row matrix ``text``: each
+    count in decimal, right-aligned to the widest, then the separator byte.
+    Returns the rows as one flat array; only a block whose counts differ in
+    width needs a gather to drop the leading zeros."""
     width = text.shape[1] - at - 1
     text[:, -1] = sep
     rest = counts
-    for j in range(at + width - 1, at, -1):  # one pass per place but the leading one
+    for j in range(at + width - 1, at, -1):  # one pass per place, the leading digit needs none
         quot = rest // 10
         np.subtract(rest + ord("0"), 10 * quot, out=text[:, j], casting="unsafe")
         rest = quot
-    if wide == width:  # the leading digit is all that is left
-        np.add(rest, ord("0"), out=text[:, at], casting="unsafe")
-        if narrow == width:
-            return text.reshape(-1)
-        keep = np.ones(text.shape, dtype=bool)
-        keep[:, at : at + width - 1] = counts[:, None] >= 10 ** np.arange(width - 1, 0, -1)
-        return text[keep]
-    # the field is the narrowest count's: insert the high digits of the wider ones
-    np.subtract(rest + ord("0"), 10 * (rest // 10), out=text[:, at], casting="unsafe")
-    rows = np.flatnonzero(counts >= 10 ** width)
-    high = counts[rows, None] // 10 ** width
-    places = 10 ** np.arange(wide - width - 1, -1, -1)
-    shown = high >= places  # the digits of each high part, leading zeros dropped
-    digits = (high // places % 10 + ord("0"))[shown].astype(np.uint8)
-    # the e-th inserted digit lands e places past its row's field in the unpatched rows
-    spots = np.repeat(rows * text.shape[1] + at, shown.sum(axis=1)) + np.arange(len(digits))
-    out = np.empty(text.size + len(digits), dtype=np.uint8)
-    gap = np.ones(len(out), dtype=bool)
-    gap[spots] = False
-    out[gap] = text.reshape(-1)
-    out[spots] = digits
-    return out
+    np.add(rest, ord("0"), out=text[:, at], casting="unsafe")
+    if width == 1 or int(counts.min()) >= 10 ** (width - 1):
+        return text.reshape(-1)
+    keep = np.ones(text.shape, dtype=bool)
+    keep[:, at : at + width - 1] = counts[:, None] >= 10 ** np.arange(width - 1, 0, -1)
+    return text[keep]
 
 
 def cmd_verify(parser, args) -> int:

@@ -154,11 +154,12 @@ def _superpose(laws: ChainLaws, steps: int, rngs, out: np.ndarray) -> None:
     generator, in stream order, so no epoch depends on the block size.
     """
     width = min(laws.batch(steps), BLOCK)
+    one = out.dtype.type(1)  # an untyped 1 sends add.at on uint8 down a path about 30x slower
     rngs = iter(rngs)
     while group := list(itertools.islice(rngs, BLOCK // width)):
         t = laws.delay.map(np.array([rng.random() for rng in group]))
         live = t < steps
-        np.add.at(out, t[live], 1)  # two chains may share a delay
+        np.add.at(out, t[live], one)  # two chains may share a delay
         rows, carry = list(itertools.compress(group, live)), t[live]
         u = np.empty((len(rows), width))
         while rows:
@@ -168,10 +169,7 @@ def _superpose(laws: ChainLaws, steps: int, rngs, out: np.ndarray) -> None:
             e = laws.lifetime.map(block)
             e[:, 0] += carry
             np.cumsum(e, axis=1, out=e)
-            if len(rows) == 1:  # a chain's epochs are distinct
-                out[e[0, : np.searchsorted(e[0], steps)]] += 1
-            else:  # chains may share an epoch
-                np.add.at(out, e[e < steps], 1)
+            np.add.at(out, e[e < steps], one)  # chains may share an epoch
             live = e[:, -1] < steps
             rows, carry = list(itertools.compress(rows, live)), e[live, -1]
 

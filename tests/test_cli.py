@@ -224,20 +224,6 @@ def test_long_series_bytes_match_text_formatter(length, top):
         assert b"".join(_series_blocks(values, SIM_META, fmt)) == text_series(values, SIM_META, fmt).encode()
 
 
-@pytest.mark.parametrize("top", [10, 99, 12345, 2 ** 63 - 1])
-def test_sparse_wide_counts_match_text_formatter(top):
-    # most counts have one digit and a few are wider, of every width up to
-    # top's: the blocks keep a one-digit field and insert the wide counts' digits
-    rng = np.random.default_rng(top % 1000)
-    values = rng.integers(0, 10, 30000)
-    wide = np.flatnonzero(rng.random(len(values)) < 0.05)
-    values[wide] = rng.integers(10, top, len(wide), endpoint=True) // 10 ** rng.integers(0, len(str(top)) - 1,
-                                                                                          len(wide))
-    values[wide[::7]] = top
-    for fmt in ("csv", "json"):
-        assert b"".join(_series_blocks(values, SIM_META, fmt)) == text_series(values, SIM_META, fmt).encode()
-
-
 class TestVerify:
     def test_quick_passes(self, capsys):
         code, out, _ = run(capsys, "verify", "--head", "0.2,0.3", "--r", "0.6", "--M", "5")
