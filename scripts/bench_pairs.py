@@ -8,13 +8,18 @@ one after the other, N times.  The side that runs first alternates from
 pair to pair, and both runs of pair i take the seed i.  Every pair's
 end-to-end metrics are printed, then, for each metric, both medians, their
 ratio (change / parent), both sides' quartiles and how many pairs the change
-won; ties count for neither side.  The metrics, their units and which direction is better come
-from this checkout's ``BENCHMARK.json``, and ``--seconds`` defaults to its
-run length.  Exits with 1 if any run fails or reports an incorrect output.
+won; ties count for neither side.  Below ``setup_s`` come its two parts, read
+from each run's stderr summary: ``import_s``, the seconds spent importing,
+and ``round_s``, the median set-up round, so that a change in ``setup_s``
+can be put down to one of them.  The metrics, their units and which
+direction is better come from this checkout's ``BENCHMARK.json``, and
+``--seconds`` defaults to its run length.  Exits with 1 if any run fails or
+reports an incorrect output.
 """
 
 import argparse
 import json
+import re
 import statistics
 import subprocess
 import sys
@@ -23,15 +28,35 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 
+# the parts of setup_s, read from the stderr summary and shown below it
+SETUP_PARTS = [{"name": "import_s", "unit": "s", "better": "lower"},
+               {"name": "round_s", "unit": "s", "better": "lower"}]
+SETUP_SUMMARY = re.compile(r"set-up rounds ([0-9., ]+) s after ([0-9.]+) s of import")
+
+
+def setup_parts(stderr: str) -> dict:
+    """``import_s`` and ``round_s`` (the median set-up round) from a run's
+    stderr summary, as metrics; empty if the summary is missing."""
+    found = SETUP_SUMMARY.search(stderr)
+    if not found:
+        return {}
+    rounds = [float(x) for x in found.group(1).split(",")]
+    return {"import_s": {"value": float(found.group(2)), "unit": "s"},
+            "round_s": {"value": statistics.median(rounds), "unit": "s"}}
+
+
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One untraced ``perfbench/run.py`` run in ``checkout``: its JSON summary line."""
+    """One untraced ``perfbench/run.py`` run in ``checkout``: its JSON summary
+    line, with the parts of ``setup_s`` added to its metrics."""
     proc = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
                            "--seconds", str(seconds), "--trace", "0"],
                           cwd=checkout, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
         return {"correct": False, "error": proc.stderr.strip()[-500:] or f"exit {proc.returncode}"}
-    return json.loads(lines[-1])
+    result = json.loads(lines[-1])
+    result["metrics"].update(setup_parts(proc.stderr))
+    return result
 
 
 def quartiles(values):
@@ -73,9 +98,10 @@ def main(argv=None) -> int:
     print(f"\n{args.workload}, {args.pairs} pairs of {args.seconds:g} s")
     print(f"{'metric':<12} {'unit':<4} {'parent':>10} {'change':>10} {'ratio':>7} "
           f"{'parent q1-q3':>21} {'change q1-q3':>21} {'change won':>11}")
-    for m in metrics:
-        values = {side: [r["metrics"][m["name"]]["value"] for r in runs[side] if "metrics" in r]
-                  for side in sides}
+    rows = [row for m in metrics for row in [m] + (SETUP_PARTS if m["name"] == "setup_s" else [])]
+    for m in rows:
+        values = {side: [r["metrics"][m["name"]]["value"] for r in runs[side]
+                         if m["name"] in r.get("metrics", {})] for side in sides}
         if len(values["parent"]) != args.pairs or len(values["change"]) != args.pairs:
             print(f"{m['name']:<12} {m['unit']:<4} {'missing':>10}")
             continue

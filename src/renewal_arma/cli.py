@@ -1,9 +1,10 @@
 """Command line interface: factorize, simulate, verify, markov.
 
 Exit codes: 0 success, 1 any other library error, 2 argument error (bad flag
-or config value, unreadable or unwritable path), 3 validation error
-(lattice/mass, non-finite input, malformed model file, an MGF that overflows),
-4 numerical-factorization error, 5 verification-gate failure.
+or config value, unreadable or unwritable path, a size too large to allocate),
+3 validation error (lattice/mass, non-finite input, malformed model file, an
+MGF that overflows), 4 numerical-factorization error, 5 verification-gate
+failure.
 
 Every command is deterministic given its full argument vector (including the
 seed).  File outputs get a sidecar ``<out>.manifest.json`` carrying the
@@ -410,6 +411,9 @@ def main(argv=None) -> int:
         return 1
     except OSError as e:  # every path the commands open is one the user named
         print(f"error: {e}", file=sys.stderr)
+        return EXIT_ARGS
+    except MemoryError as e:  # every size the commands allocate comes from the user's flags
+        print(f"error: out of memory: {e}", file=sys.stderr)
         return EXIT_ARGS
 
 

@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import lapack
 
 from .errors import FactorizationError
 
@@ -133,8 +132,12 @@ def rational_series(num: Poly, den: Poly, terms: int) -> np.ndarray:
 
     They solve ``T(den) y = num``, T(den) being lower-triangular banded Toeplitz
     with ``den[i]`` on its i-th subdiagonal: a forward substitution in
-    O(terms * deg den), done by LAPACK's banded triangular solve.
+    O(terms * deg den), done by LAPACK's banded triangular solve.  scipy is
+    imported here, at the first call: ``simulate`` and ``markov`` never expand
+    a rational series, so they never load it.
     """
+    from scipy.linalg import lapack  # deferred: importing scipy.linalg takes about 0.3 s
+
     if terms < 0:
         raise ValueError("number of terms must be nonnegative")
     if den.degree < 0 or den.coeffs[0] == 0.0:

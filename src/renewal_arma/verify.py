@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from .arma import (
     COMMON_ROOT_TOL,
@@ -212,14 +211,21 @@ def monte_carlo_gates(spec: LifetimeSpec, M: int, seed: int) -> list[GateResult]
 
 
 def _chi_square_gate(pgf: RationalPGF, M: int, series) -> GateResult:
+    """Pearson's chi-square test of the thinned counts against Binomial(M, 1/mu).
+
+    Bins are merged from the low end until each expects at least 5 counts,
+    the expectations are rescaled to the observed total, and the p-value is
+    ``chi2_sf`` of the statistic on (bins - 1) degrees of freedom.  A single
+    merged bin leaves no degree of freedom: the p-value is NaN and the gate
+    fails.
+    """
     # Pearson's test needs (nearly) independent draws; thin by the lag at
     # which the theoretical autocovariance has decayed away.
     gamma = acvf_renewal(pgf, M, 256)
     below = np.nonzero(np.abs(gamma) < 1e-4 * gamma[0])[0]
     stride = int(below[0]) if below.size else 256
     y = series.values[:: max(stride, 1)]
-    p_marginal = 1.0 / pgf.mean()
-    probs = stats.binom.pmf(np.arange(M + 1), M, p_marginal)
+    probs = binom_pmf(M, 1.0 / pgf.mean())
     observed = np.bincount(y, minlength=M + 1).astype(float)
     expected = probs * len(y)
     # merge bins until every expected count is at least 5
@@ -236,9 +242,49 @@ def _chi_square_gate(pgf: RationalPGF, M: int, series) -> GateResult:
         obs_m[-1] += acc_o
         exp_m[-1] += acc_e
     exp_arr = np.array(exp_m) * (sum(obs_m) / sum(exp_m))
-    _, pvalue = stats.chisquare(obs_m, exp_arr)
+    statistic = float(np.sum((np.array(obs_m) - exp_arr) ** 2 / exp_arr))
+    pvalue = chi2_sf(statistic, len(obs_m) - 1)
     return _gate("mc_binomial_marginal", pvalue, 0.001,
                  f"chi-square p-value (thinned every {stride} steps)", larger_is_better=True)
+
+
+def binom_pmf(M: int, p: float) -> np.ndarray:
+    """P(Y = k) for k = 0..M, Y ~ Binomial(M, p) with 0 < p < 1:
+    comb(M, k) p^k (1 - p)^(M - k), each formed as the exponential of its
+    logarithm so that no factor overflows or underflows at large M."""
+    log_p, log_q = math.log(p), math.log1p(-p)
+    return np.array([math.exp(math.log(math.comb(M, k)) + k * log_p + (M - k) * log_q)
+                     for k in range(M + 1)])
+
+
+def chi2_sf(x: float, df: int) -> float:
+    """P(X > x) for X chi-square with an integer ``df`` >= 1 degrees of freedom; NaN for df < 1.
+
+    Closed form in h = x / 2: e^{-h} sum_{i < df/2} h^i / i! for even df, and
+    erfc(sqrt h) + e^{-h} sum_{i < (df-1)/2} h^{i+1/2} / Gamma(i + 3/2) for
+    odd df.  The largest term is evaluated in logs, so that neither e^{-h}
+    nor h^i leaves the float range, and the others follow from it by the
+    term ratio h / (power + 1).
+    """
+    if df < 1:
+        return math.nan
+    if x <= 0.0:
+        return 1.0
+    h = x / 2.0
+    a0 = (df % 2) / 2.0  # the powers of h are a0, a0 + 1, .. below df / 2
+    n = df // 2
+    tail = math.erfc(math.sqrt(h)) if df % 2 else 0.0
+    if n == 0:
+        return tail
+    top = min(n - 1, int(h - a0))  # the terms rise while the power is below h - 1
+    t = math.exp((a0 + top) * math.log(h) - h - math.lgamma(a0 + top + 1.0))
+    terms = [t]
+    for k in range(top + 1, n):
+        terms.append(terms[-1] * h / (a0 + k))
+    for k in range(top, 0, -1):
+        t *= (a0 + k) / h
+        terms.append(t)
+    return tail + math.fsum(terms)
 
 
 def _markov_gates(spec: LifetimeSpec, M: int, seed: int, series) -> list[GateResult]:

@@ -1,6 +1,10 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import numpy as np
@@ -187,6 +191,18 @@ class TestSimulate:
                            "--steps", "10", "--seed", "1", "--out", "/nonexistent-dir/x.csv")
         assert code == 2
         assert err.startswith("error: ")
+
+    def test_unallocatable_series_is_argument_error(self, capsys, tmp_path):
+        # 10**18 int64 counts are 6.9 EiB, past any user address space (at most
+        # 128 PiB, with five-level paging), so the allocation is refused at once,
+        # before any file is opened
+        out = tmp_path / "x.csv"
+        code, _, err = run(capsys, "simulate", "--head", "0.2,0.3", "--r", "0.6", "--M", "5",
+                           "--steps", str(10 ** 18), "--seed", "1", "--out", str(out))
+        assert code == 2
+        assert err.startswith("error: out of memory: ")
+        assert "Traceback" not in err
+        assert not out.exists()
 
 
 SIM_META = {"command": "simulate", "version": "0.1.0", "config": {
@@ -452,3 +468,41 @@ def test_numerical_factorization_exit_code(capsys, tmp_path):
     err = capsys.readouterr().err
     assert code == 4
     assert "error" in err
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+LOADED_SCIPY = """
+import contextlib, io, json, sys
+from renewal_arma import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(sys.argv[1:])
+print(json.dumps([code, sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))]))
+"""
+
+
+def loaded_scipy(*argv):
+    """Exit code and the scipy modules in ``sys.modules`` after one command in a fresh interpreter."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", LOADED_SCIPY, *argv], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return tuple(json.loads(proc.stdout))
+
+
+class TestStartup:
+    def test_simulate_loads_no_scipy(self, tmp_path):
+        assert loaded_scipy("simulate", "--head", "0.2,0.3", "--r", "0.6", "--M", "5", "--steps", "1000",
+                            "--seed", "1", "--out", str(tmp_path / "x.csv")) == (0, [])
+
+    def test_markov_loads_no_scipy(self):
+        assert loaded_scipy("markov", "--head", "0.2,0.3", "--r", "0.6", "--mgf", "0.1,0.2,0.3") == (0, [])
+
+    @pytest.mark.parametrize("argv", [
+        ("verify", "--head", "0.2,0.3", "--r", "0.6", "--level", "quick"),
+        ("factorize", "--head", "0.2,0.3", "--r", "0.6", "--M", "5"),
+    ])
+    def test_no_command_loads_scipy_stats(self, argv):
+        code, modules = loaded_scipy(*argv)
+        assert code == 0
+        assert "scipy.linalg" in modules  # the rational-series kernel's one LAPACK routine
+        assert not [m for m in modules if m == "scipy.stats" or m.startswith("scipy.stats.")]

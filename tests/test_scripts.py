@@ -33,8 +33,22 @@ def test_bench_pairs_runs():
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
     assert lines[0].startswith("pair 1 (parent first; parent / change): setup_s ")
-    for name in ("setup_s", "ops_per_s", "op_p50_ms", "op_p90_ms", "peak_rss_mb"):
-        assert any(line.startswith(name + " ") and line.endswith(" of 1") for line in lines), name
+    names = [line.split()[0] for line in lines if line.endswith(" of 1")]
+    assert names == ["setup_s", "import_s", "round_s", "ops_per_s", "op_p50_ms", "op_p90_ms", "peak_rss_mb"]
+
+
+def test_bench_pairs_splits_setup():
+    from bench_pairs import run_once, setup_parts
+
+    stderr = ("perfbench: fit_battery seed=1 cycles=9 of 40 ops, 0/360 failed, set-up rounds "
+              "0.061, 0.095, 0.058 s after 1.093 s of import, 0 draws left out\n")
+    assert setup_parts(stderr) == {"import_s": {"value": 1.093, "unit": "s"},
+                                   "round_s": {"value": 0.061, "unit": "s"}}
+    assert setup_parts("perfbench: check failed: something\n") == {}
+    # setup_s is the import plus the median round; the summary prints both to the millisecond
+    metrics = run_once(ROOT, "fit_battery", 1, 0.3)["metrics"]
+    parts = metrics["import_s"]["value"] + metrics["round_s"]["value"]
+    assert metrics["setup_s"]["value"] == pytest.approx(parts, abs=1.5e-3)
 
 
 def test_bench_pairs_fails_on_a_broken_run(tmp_path):
