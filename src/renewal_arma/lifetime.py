@@ -23,10 +23,11 @@ from .errors import LatticeError, SingularEvaluationError, ValidationError
 from .polynomials import (
     Poly,
     SymLaurent,
+    common_root,
     deflate_at_one,
     divide_sym_by_unit_pair,
     rational_series,
-    resultant,
+    roots,
     sym_product_diff,
 )
 
@@ -218,7 +219,8 @@ class RationalPGF:
 
 
 def make_rational_pgf(num: Poly, den: Poly) -> RationalPGF:
-    """Normalize and validate a rational probability generating function."""
+    """Normalize and validate a rational probability generating function; the root
+    tests raise :class:`FactorizationError` on a polynomial too ill-conditioned to root."""
     if den.degree < 0 or den.coeffs[0] == 0.0:
         raise ValidationError("denominator must have a nonzero constant term")
     q0 = den.coeffs[0]
@@ -230,10 +232,10 @@ def make_rational_pgf(num: Poly, den: Poly) -> RationalPGF:
         num = Poly((0.0,) + num.coeffs[1:])
     if abs(num(1.0) - den(1.0)) > 1e-12 * scale:
         raise ValidationError("generating function must equal 1 at z=1")
-    nn = math.sqrt(sum(c * c for c in num.coeffs)) or 1.0
-    dn = math.sqrt(sum(c * c for c in den.coeffs)) or 1.0
-    if abs(resultant(num.scale(1.0 / nn), den.scale(1.0 / dn))) <= 1e-10:
+    if common_root(num, den):
         raise ValidationError("numerator and denominator share a factor; reduce to lowest terms")
+    if den.degree >= 1 and any(abs(z) <= 1.0 for z in roots(den)):
+        raise ValidationError("generating function has a pole in the closed unit disk")
     pgf = RationalPGF(num=num, den=den)
     coeffs = pgf.series(SERIES_CHECK_TERMS)
     if coeffs.min() < -1e-12:

@@ -289,21 +289,17 @@ def factor_outside(d: SymLaurent) -> tuple[Poly, float]:
     return Poly(tuple(g[: q + 1] / g[0])), float(g[0] ** 2)
 
 
-def resultant(P: Poly, Q: Poly) -> float:
-    """Sylvester-matrix resultant; zero (up to rounding) iff P and Q share a root."""
-    m, n = P.degree, Q.degree
-    if m < 0 or n < 0:
-        return 0.0
-    if m == 0:
-        return P.coeffs[0] ** n
-    if n == 0:
-        return Q.coeffs[0] ** m
-    a = list(reversed(P.coeffs))
-    b = list(reversed(Q.coeffs))
-    size = m + n
-    S = np.zeros((size, size))
-    for i in range(n):
-        S[i, i : i + m + 1] = a
-    for i in range(m):
-        S[n + i, i : i + n + 1] = b
-    return float(np.linalg.det(S))
+def common_root(P: Poly, Q: Poly) -> bool:
+    """Whether ``P`` and ``Q`` share a root: whether either is at most
+    ``TRIM_REL * sum|c_i| |z|**i`` at some root z of the other.  ``roots``
+    splits an m-fold root by about eps**(1/m), so both directions are tried:
+    the side where the shared factor has the lower multiplicity is rooted
+    accurately enough.  A nonzero constant has no roots; ``roots`` may raise
+    :class:`FactorizationError`.
+    """
+    for a, b in ((P, Q), (Q, P)):
+        if a.degree >= 1:
+            z = np.asarray(roots(a))
+            if np.any(np.abs(_horner(b.coeffs, z)) <= TRIM_REL * _horner(np.abs(b.coeffs), np.abs(z))):
+                return True
+    return False

@@ -25,7 +25,7 @@ from renewal_arma.arma import ArmaModel, model_from_dict, model_to_dict, phi_pol
 from renewal_arma.errors import SingularEvaluationError
 from renewal_arma.polynomials import roots
 from renewal_arma.verify import verify_spec
-from conftest import dirichlet_specs, make_battery
+from conftest import dirichlet_specs
 
 
 def p2_oracle_theta(f1, f2, r):
@@ -76,10 +76,10 @@ class TestFactorize:
             factorize(p2_spec.pgf(), 0)
 
     def test_battery_invariants(self, small_battery):
-        for p, spec in small_battery:
+        for spec in small_battery:
             model = factorize(spec.pgf(), 3)
-            assert len(model.phi) == p
-            assert len(model.theta) == p - 1
+            assert len(model.phi) == spec.p
+            assert len(model.theta) == spec.p - 1
             assert model.k > 0 and model.sigma2 > 0
             report = check_causal_invertible(model)
             assert report.passes
@@ -231,7 +231,7 @@ class TestGenEvalArma:
         assert abs(ga - gr) < 1e-9 * abs(gr)
 
     def test_real_on_circle(self, small_battery):
-        for _, spec in small_battery[::7]:
+        for spec in small_battery[::7]:
             model = factorize(spec.pgf(), 2)
             for j in (3, 29):
                 val = gen_eval_arma(model, np.exp(2j * np.pi * j / 64))
@@ -239,7 +239,7 @@ class TestGenEvalArma:
 
     def test_identity_battery(self):
         grid = unit_circle_grid()
-        for p, spec in make_battery(7, per_p=4):
+        for spec in dirichlet_specs(7, ps=(1, 2, 3, 4, 5), per_p=4):
             pgf = spec.pgf()
             model = factorize(pgf, 4)
             for z in grid[::5]:
@@ -249,7 +249,7 @@ class TestGenEvalArma:
 
     def test_array_matches_points(self, small_battery):
         grid = unit_circle_grid()
-        for _, spec in small_battery:
+        for spec in small_battery:
             model = factorize(spec.pgf(), 3)
             points = np.array([gen_eval_arma(model, z) for z in grid])
             assert np.max(np.abs(gen_eval_arma(model, grid) - points) / np.abs(points)) <= 1e-15
@@ -303,7 +303,7 @@ class TestSecondMomentLimit:
         assert abs(second_moment_limit(geometric_spec.pgf()) - 2.0) < 1e-6
 
     def test_battery(self, small_battery):
-        for _, spec in small_battery:
+        for spec in small_battery:
             assert abs(second_moment_limit(spec.pgf()) - spec.variance()) < 1e-6
 
     @pytest.mark.parametrize("head", [(0.2, 0.3), ()])
@@ -338,15 +338,10 @@ class TestSerialization:
 
 
 def test_degree_law_battery(small_battery):
-    for p, spec in small_battery:
+    for spec in small_battery:
         model = factorize(spec.pgf(), 1)
-        assert len(model.phi) == p
-        assert len(model.theta) == p - 1
-
-
-def test_make_battery_refuses_long_heads():
-    with pytest.raises(ValueError, match="dirichlet_specs"):
-        make_battery(0, per_p=1, ps=(14,))
+        assert len(model.phi) == spec.p
+        assert len(model.theta) == spec.p - 1
 
 
 def test_p1_is_pure_ar1():

@@ -12,7 +12,11 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from renewal_arma import acvf_renewal
 from renewal_arma.cli import _series_blocks, main
+from renewal_arma.lifetime import make_rational_pgf
+
+from conftest import lifetime_sums
 
 
 def run(capsys, *argv):
@@ -76,6 +80,21 @@ class TestFactorize:
         code, out, _ = run(capsys, "factorize", "--pgf-num", "0,0.5", "--pgf-den", "1,-0.5")
         assert code == 0
         assert json.loads(out)["model"]["k"] == pytest.approx(0.5)
+
+    def test_raw_pgf_pole_in_disk_exit_code(self, capsys):
+        # pole at 2/3: the series reads 0, 2, 0.5, 0.75, ..., so P(L = 1) would be 2
+        code, _, err = run(capsys, "factorize", "--pgf-num", "0,2,-2.5", "--pgf-den", "1,-1.5")
+        assert code == 3
+        assert "pole in the closed unit disk" in err
+
+    def test_raw_pgf_lifetime_sum(self, capsys):
+        # a sum of four lifetimes: numerator degree up to 12 over denominator degree 4
+        for num, den in lifetime_sums(4, 4, 50):
+            code, out, _ = run(capsys, "factorize", "--pgf-num", ",".join(map(repr, num.coeffs)),
+                               "--pgf-den", ",".join(map(repr, den.coeffs)), "--M", "5")
+            assert code == 0
+            want = acvf_renewal(make_rational_pgf(num, den), 5, 10)
+            assert np.max(np.abs(np.array(json.loads(out)["acvf"]) - want)) <= 1e-8
 
     @pytest.mark.parametrize("num,den", [("nan", "1"), ("0,0.5", "0,inf"), ("0,-inf", "1")])
     def test_non_finite_pgf_exit_code(self, capsys, num, den):

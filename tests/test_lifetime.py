@@ -15,7 +15,7 @@ from renewal_arma.lifetime import (
 )
 from renewal_arma.markov import age_chain
 from renewal_arma.polynomials import Poly, deflate_at_one, rational_series
-from conftest import dirichlet_specs
+from conftest import dirichlet_specs, lifetime_sums
 
 
 @st.composite
@@ -173,8 +173,9 @@ class TestPgf:
         assert pgf.den.coeffs == (1.0,)
 
     def test_tiny_tail_mass(self):
-        # tail mass 1e-13: the pair is coprime by construction, but a
-        # resultant test on it reads as a shared factor
+        # tail mass 1e-13: the pair is coprime by construction, but
+        # common_root reads it as shared (the numerator is 6.7e-14 of its
+        # size at the pole 2), so only pgf(), which skips validation, builds it
         spec = make_constant_hazard([0.5, 0.5 - 1e-13], 0.5)
         coeffs = spec.pgf().series(50)
         assert coeffs[1:].tolist() == spec.pmfs(49).tolist()
@@ -244,6 +245,34 @@ class TestMakeRationalPgf:
         # F(1) = 1 but the series has a negative coefficient
         with pytest.raises(ValidationError, match="negative"):
             make_rational_pgf(Poly((0.0, 1.5, -0.5)), Poly((1.0,)))
+
+    @pytest.mark.parametrize("num,den", [
+        ((0.0, 2.0, -2.5), (1.0, -1.5)),  # pole at 2/3: series 0, 2, 0.5, 0.75, ...
+        ((0.0, 2.0), (1.0, 1.0)),  # pole at -1, on the circle
+    ])
+    def test_rejects_pole_in_closed_disk(self, num, den):
+        with pytest.raises(ValidationError, match="pole"):
+            make_rational_pgf(Poly(num), Poly(den))
+
+    @pytest.mark.parametrize("k", [4, 5, 6])
+    def test_accepts_lifetime_sums(self, k):
+        # the pgf of a sum of k lifetimes is the product of theirs: degree up to 3k over k
+        for num, den in lifetime_sums(k, k, 50):
+            make_rational_pgf(num, den)
+
+    @pytest.mark.parametrize("k", [4, 5, 6])
+    def test_refuses_lifetime_sums_with_shared_factor(self, k):
+        # each shared factor keeps F(1) = 1: a real one on both sides, a double
+        # one on one side against a simple one on the other, a complex pair
+        rng = np.random.default_rng(k)
+        pair = Poly((1.0, -1.0, 0.34))
+        for num, den in lifetime_sums(k, k, 20):
+            a = rng.uniform(-0.9, 0.9)
+            f = Poly((1.0, -a))
+            f2 = (f * f).scale(1.0 / (1.0 - a))
+            for bad in [(num * f, den * f), (num * f2, den * f), (num * f, den * f2), (num * pair, den * pair)]:
+                with pytest.raises(ValidationError, match="lowest terms"):
+                    make_rational_pgf(*bad)
 
 
 class TestEquilibrium:

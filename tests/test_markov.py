@@ -10,7 +10,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import dirichlet_specs, make_battery
+from conftest import dirichlet_specs
 from renewal_arma import (
     SimConfig,
     acvf_renewal,
@@ -63,13 +63,13 @@ def mgf_oracle_p2(cells, M, s1, s2, s3):
 
 def p2_specs():
     finite = [make_constant_hazard(h, 0.0) for h in ((0.5, 0.5), (0.3, 0.2), (0.9, 0.05))]
-    return ([make_constant_hazard([0.2, 0.3], 0.6)] + [s for _, s in make_battery(5, 20, ps=(2,))]
+    return ([make_constant_hazard([0.2, 0.3], 0.6)] + dirichlet_specs(5, ps=(2,), per_p=20)
             + dirichlet_specs(6, ps=(2,), per_p=20) + finite)
 
 
 def chain_specs():
     """The conftest battery and Dirichlet heads at p = 1..5, a geometric and finite-support lifetimes."""
-    return ([s for _, s in make_battery(1234, 10)] + dirichlet_specs(2025, ps=(1, 2, 3, 4, 5), per_p=10)
+    return (dirichlet_specs(1234, ps=(1, 2, 3, 4, 5), per_p=10) + dirichlet_specs(2025, ps=(1, 2, 3, 4, 5), per_p=10)
             + [make_constant_hazard([], 0.5), make_constant_hazard([0.3, 0.3, 0.4], 0.0),
                make_constant_hazard([0.3, 0.0, 0.2], 0.0)])
 

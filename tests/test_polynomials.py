@@ -10,10 +10,10 @@ from renewal_arma.polynomials import (
     TRIM_REL,
     Poly,
     SymLaurent,
+    common_root,
     deflate_at_one,
     divide_sym_by_unit_pair,
     factor_outside,
-    resultant,
     roots,
     sym_product_diff,
 )
@@ -330,15 +330,32 @@ class TestFactorOutside:
             assert abs(got - target) / abs(target) < 1e-9
 
 
-class TestResultant:
-    def test_shared_root_is_zero(self):
+class TestCommonRoot:
+    def test_shared_root(self):
         p = Poly((1.0, -1.0))  # root 1
         q = Poly((2.0, -2.0))  # root 1
-        assert abs(resultant(p, q)) < 1e-12
+        assert common_root(p, q) and common_root(q, p)
 
-    def test_coprime_nonzero(self):
-        assert abs(resultant(Poly((1.0, -0.5)), Poly((1.0, -0.25)))) > 1e-3
+    def test_coprime(self):
+        p, q = Poly((1.0, -0.5)), Poly((1.0, -0.25))
+        assert not common_root(p, q) and not common_root(q, p)
+
+    @pytest.mark.parametrize("mult", [2, 3])
+    def test_multiple_on_one_side(self, mult):
+        # the multiple root comes out of roots split by about eps**(1/mult);
+        # the simple side's root finds it, in either argument order
+        f = Poly((1.0, -0.5))
+        p = Poly((1.0, 0.3))
+        for _ in range(mult):
+            p = p * f
+        q = Poly((1.0, -0.2)) * f
+        assert common_root(p, q) and common_root(q, p)
+
+    def test_complex_pair(self):
+        pair = Poly((1.0, -1.0, 0.34))  # roots (1 +- 0.6i) / 0.68
+        p, q = Poly((0.0, 0.5, 0.5)) * pair, Poly((1.0, -0.4)) * pair
+        assert common_root(p, q) and common_root(q, p)
 
     def test_constant_cases(self):
-        assert resultant(Poly((3.0,)), Poly((1.0, 2.0))) == 3.0
-        assert resultant(Poly((1.0, 2.0)), Poly((3.0,))) == 3.0
+        for c, q in [(Poly((3.0,)), Poly((1.0, 2.0))), (Poly((3.0,)), Poly((2.0,)))]:
+            assert not common_root(c, q) and not common_root(q, c)

@@ -42,7 +42,7 @@ def psi_recursion(phi, theta, length):
 
 @pytest.fixture(scope="module")
 def specs(small_battery):
-    return [spec for _, spec in small_battery] + dirichlet_specs(2024)
+    return small_battery + dirichlet_specs(2024)
 
 
 def arma_pair(spec):
@@ -76,7 +76,7 @@ class TestRationalSeries:
 
     def test_matches_psi_loop(self, specs, small_battery):
         pairs = [arma_pair(spec) for spec in specs]
-        for _, spec in small_battery:
+        for spec in small_battery:
             model = factorize(spec.pgf(), 1)
             pairs.append((model.phi, model.theta))
         for phi, theta in pairs:
@@ -86,7 +86,7 @@ class TestRationalSeries:
 
     def test_arma_acvf_matches_psi_loop(self, small_battery):
         hmax = 50
-        for _, spec in small_battery:
+        for spec in small_battery:
             model = factorize(spec.pgf(), 3)
             psi = psi_recursion(model.phi, model.theta, N + hmax)
             want = model.sigma2 * np.array([np.dot(psi[: N + hmax - h], psi[h:]) for h in range(hmax + 1)])

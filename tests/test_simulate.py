@@ -19,7 +19,7 @@ from renewal_arma.simulate import (
 )
 from renewal_arma.errors import RenewalArmaError
 
-from conftest import make_battery
+from conftest import dirichlet_specs
 
 
 def se_of_mean(x):
@@ -348,7 +348,7 @@ def test_draws_match_reference(spec, extra):
 @pytest.mark.parametrize("steps", [1, 7, 10 ** 4])
 @pytest.mark.parametrize("M", [1, 3, 300])
 def test_counts_match_reference(M, steps):
-    for seed, (_, spec) in enumerate(make_battery(1234, per_p=2)):
+    for seed, spec in enumerate(dirichlet_specs(1234, ps=(1, 2, 3, 4, 5), per_p=2)):
         config = SimConfig(spec=spec, M=M, steps=steps, seed=seed)
         assert np.array_equal(simulate_counts(config).values, ref_simulate_counts(config)), (spec, config)
 
