@@ -40,7 +40,7 @@ from .errors import FactorizationError, RenewalArmaError, ValidationError
 from .lifetime import make_constant_hazard, make_rational_pgf, spec_to_dict
 from .markov import conditional_probs_p2, joint_probs_p2, mgf_trivariate, window_law
 from .polynomials import Poly
-from .simulate import SimConfig, simulate_counts
+from .simulate import MAX_CHAINS, SimConfig, simulate_counts
 from .verify import MC_SEED, report_to_dict, verify_model, verify_spec
 
 EXIT_OK = 0
@@ -216,6 +216,8 @@ def cmd_simulate(parser, args) -> int:
     fmt = args.format or "csv"
     if args.M < 1 or args.steps < 1:
         parser.error("--M and --steps must be positive")
+    if args.M > MAX_CHAINS:
+        parser.error("--M must be at most 2**32, the chains a seed's streams can key")
     spec = _build_spec(args)
     config = SimConfig(spec=spec, M=args.M, steps=args.steps, seed=seed)
     series = simulate_counts(config)
@@ -327,6 +329,8 @@ def cmd_verify(parser, args) -> int:
     M = args.M if args.M is not None else 5
     if M < 1:
         parser.error("--M must be positive")
+    if level == "full" and M > MAX_CHAINS:
+        parser.error("--level full simulates --M chains: at most 2**32, the chains a seed's streams can key")
     if args.model is not None and (args.level == "full" or args.M is not None):
         parser.error("--model runs the model gates only: it takes neither --level full nor --M, "
                      "the model file gives M")

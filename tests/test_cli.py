@@ -13,6 +13,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from renewal_arma import acvf_renewal
+from renewal_arma import cli
 from renewal_arma.cli import _series_blocks, main
 from renewal_arma.lifetime import make_rational_pgf
 
@@ -223,6 +224,18 @@ class TestSimulate:
         assert "Traceback" not in err
         assert not out.exists()
 
+    def test_unkeyable_M_is_argument_error(self, capsys, tmp_path, monkeypatch):
+        # a chain index from 2**32 on needs a second spawn-key word; such an M
+        # is refused before anything is allocated or drawn
+        monkeypatch.setattr(cli, "simulate_counts", None)
+        out = tmp_path / "x.csv"
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--head", "0.2,0.3", "--r", "0.6", "--M", str(10 ** 15),
+                  "--steps", "10", "--seed", "1", "--out", str(out)])
+        assert exc.value.code == 2
+        assert "error: --M must be at most 2**32" in capsys.readouterr().err
+        assert not out.exists()
+
 
 SIM_META = {"command": "simulate", "version": "0.1.0", "config": {
     "spec": {"head": [0.2, 0.3], "r": 0.6}, "M": 5, "steps": 3, "seed": 0}}
@@ -393,6 +406,19 @@ class TestVerify:
         with pytest.raises(SystemExit) as exc:
             main(["verify"])
         assert exc.value.code == 2
+
+    def test_full_level_refuses_unkeyable_M(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "verify_spec", None)  # refused before any gate runs
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--head", "0.2,0.3", "--r", "0.6", "--M", str(10 ** 15), "--level", "full"])
+        assert exc.value.code == 2
+        assert "at most 2**32" in capsys.readouterr().err
+
+    def test_quick_level_takes_any_M(self, capsys):
+        # the quick gates simulate nothing, so no bound on M applies
+        code, out, _ = run(capsys, "verify", "--head", "0.2,0.3", "--r", "0.6", "--M", str(10 ** 15))
+        assert code != 2
+        assert "VERIFY:" in out
 
     @pytest.mark.parametrize("level", ["quick", "full"])
     @pytest.mark.parametrize("seed", [-1, 2 ** 64])

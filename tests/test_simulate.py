@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 from renewal_arma import SimConfig, acvf_renewal, make_constant_hazard, sample_acvf, simulate, simulate_counts
 from renewal_arma.simulate import (
     ChainLaws,
+    _chain_keys,
+    _chain_rngs,
     chain_rng,
     context_frequencies,
     delay_law,
@@ -18,6 +20,7 @@ from renewal_arma.simulate import (
     simulate_chain,
 )
 from renewal_arma.errors import RenewalArmaError
+from renewal_arma.verify import MC_SEED
 
 from conftest import dirichlet_specs
 
@@ -159,6 +162,11 @@ class TestSimulateCounts:
             SimConfig(spec=p2_spec, M=1, steps=0, seed=0)
         with pytest.raises(ValueError):
             SimConfig(spec=p2_spec, M=1, steps=10, seed=-1)
+        # chain indices up to 2**32 - 1 fit one spawn-key word; the config is
+        # only built here, never simulated
+        assert SimConfig(spec=p2_spec, M=2 ** 32, steps=10, seed=0).M == 2 ** 32
+        with pytest.raises(ValueError):
+            SimConfig(spec=p2_spec, M=2 ** 32 + 1, steps=10, seed=0)
 
 
 class TestSampleAcvf:
@@ -397,3 +405,63 @@ def test_map_is_elementwise(head, r):
     for law in (lifetime_law(spec), delay_law(spec)):
         assert np.array_equal(law.map(block), np.array([law.map(row) for row in block]))
         assert np.array_equal(law.map(block).ravel(), law.map(u))
+
+
+KEY_SEEDS = [0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 63, 2 ** 64 - 1, MC_SEED,
+             *(int(s) for s in np.random.default_rng(90).integers(2 ** 64, size=20, dtype=np.uint64))]
+
+
+@pytest.mark.parametrize("seed", KEY_SEEDS)
+def test_chain_keys_match_seed_sequence(seed):
+    # the bulk hash gives each chain the key that chain_rng's SeedSequence does
+    def want(chain):
+        return chain_rng(seed, chain).bit_generator.state["state"]["key"]
+
+    keys = _chain_keys(seed, 0, 50)
+    assert keys.dtype == np.uint64 and keys.shape == (50, 2)
+    assert np.array_equal(keys, [want(c) for c in range(50)])
+    for chain in np.random.default_rng([91, seed]).integers(2 ** 32, size=50).tolist():
+        assert np.array_equal(_chain_keys(seed, chain, 1)[0], want(chain)), chain
+    # the last chain index a spawn-key word holds, at the end of a run of chains
+    top = _chain_keys(seed, 2 ** 32 - 3, 3)
+    assert np.array_equal(top, [want(c) for c in range(2 ** 32 - 3, 2 ** 32)])
+
+
+def test_rekeyed_slots_replay_chain_streams():
+    # each slot is re-keyed after it has drawn part of a Philox buffer and a
+    # half-used 32-bit word, and still starts its next chain's stream afresh
+    for chain, rng in enumerate(_chain_rngs(17, 10, 3)):
+        assert np.array_equal(rng.random(5), chain_rng(17, chain).random(5)), chain
+        rng.integers(2 ** 32, dtype=np.uint32)
+
+
+@pytest.mark.parametrize("chunk", [1, 3])
+@pytest.mark.parametrize("M", [7, 300])
+def test_key_chunk_does_not_change_output(p2_spec, monkeypatch, chunk, M):
+    # chunks of one and three chains put a key chunk boundary inside every group
+    config = SimConfig(spec=p2_spec, M=M, steps=200, seed=8)
+    monkeypatch.setattr(simulate, "_KEY_CHUNK", chunk)
+    assert np.array_equal(simulate_counts(config).values, ref_simulate_counts(config))
+
+
+@pytest.mark.parametrize("head, r", [((0.2, 0.3), 0.6), ((0.5, 0.5), 0.0)])
+@pytest.mark.parametrize("steps", [1, 2])
+def test_delays_past_a_short_horizon(head, r, steps):
+    # most delays fall at or past steps: those chains still fill their first
+    # row, and none of its epochs counts
+    spec = make_constant_hazard(head, r)
+    config = SimConfig(spec=spec, M=500, steps=steps, seed=13)
+    assert np.array_equal(simulate_counts(config).values, ref_simulate_counts(config))
+    for chain in range(20):
+        got = simulate_chain(spec, steps, chain_rng(13, chain))
+        assert np.array_equal(got, ref_simulate_chain(spec, steps, chain_rng(13, chain))), chain
+
+
+def test_long_lifetimes_on_a_short_horizon():
+    # E[L] is about 100 against 50 steps: most chains renew once or never
+    spec = make_constant_hazard([0.005], 0.99)
+    config = SimConfig(spec=spec, M=200, steps=50, seed=14)
+    assert np.array_equal(simulate_counts(config).values, ref_simulate_counts(config))
+    for chain in range(20):
+        got = simulate_chain(spec, 50, chain_rng(14, chain))
+        assert np.array_equal(got, ref_simulate_chain(spec, 50, chain_rng(14, chain))), chain
