@@ -2,12 +2,22 @@
 
 Each of the M superposed chains draws from its own counter-based Philox
 stream, keyed deterministically from the run seed as
-``SeedSequence(seed, spawn_key=(chain,))``.  Every delay and lifetime is a
-function of one uniform, taken in stream order, so the output depends only on
-each chain's uniform stream: it is bit-identical for a given configuration,
-whatever sizes the uniforms are drawn in.  That freedom lets one kernel,
-:func:`_superpose`, map the uniforms of many short chains, or a cache-sized
-piece of one long chain, in a block of at most ``BLOCK`` uniforms.
+``SeedSequence(seed, spawn_key=(chain,))``.  A chain's stream is its
+sequence of 64-bit Philox words; word w is the uniform ``(w >> 11) * 2**-53``
+that ``Generator.random`` would give.  Every delay and lifetime is a function
+of one word, taken in stream order, so the output depends only on each
+chain's words: it is bit-identical for a given configuration, whatever sizes
+the words are drawn in.  That freedom lets one kernel, :func:`_superpose`,
+map the words of many short chains, or a cache-sized piece of one long chain,
+in a block of at most ``BLOCK`` words.
+
+A draw is a step function of its uniform, so most words are mapped by one
+gather from a guide table (Chen & Asau 1974) indexed by the word's top bits:
+each bucket of words that all give one draw holds that draw, and only a word
+in a mixed bucket goes through :meth:`DrawLaw.map`, which defines every draw.
+A bucket whose tail quotient comes within a rounding margin of an integer is
+counted as mixed, so the table gives the bytes the map gives
+(:meth:`DrawLaw.guide`).
 
 A Philox stream is a pure function of its key and its counter, so the chains
 of a count series need no generator each: :func:`_chain_keys` derives many
@@ -26,8 +36,12 @@ import numpy as np
 
 from .lifetime import LifetimeSpec
 
-BLOCK = 2 ** 15  # uniforms mapped per numpy call: a block stays in cache
+BLOCK = 2 ** 15  # words mapped per numpy call: a block stays in cache
 MAX_CHAINS = 2 ** 32  # a chain index must fit the one 32-bit word of its spawn key
+_GUIDE_BITS = 12  # a word's top bits index its law's guide table: 2**12 int64 entries, 32 KB
+_GUIDE_SHIFT = np.uint64(64 - _GUIDE_BITS)
+_MIXED = -1  # the guide entry of a bucket whose words may give more than one draw
+_UNIT = 2.0 ** -53  # the uniform of word w is (w >> 11) * _UNIT, as Generator.random makes it
 
 
 @dataclass(frozen=True)
@@ -182,18 +196,76 @@ class DrawLaw:
         # the geometric excess over the whole block: >= 0 on a tail draw, where
         # truncation is floor; on a head draw fl(1 - u) >= tail, so it is <= 0
         # and clips to 0
-        x = np.subtract(1.0, u)
-        x /= self.tail
-        np.log(x, out=x)
-        x /= self.log_r
-        k = x.astype(np.int64)
+        k = self._quotient(u).astype(np.int64)
         if cuts:
             np.maximum(k, 0, out=k)
         k += hits
         return k
 
+    def _quotient(self, u: np.ndarray) -> np.ndarray:
+        """log((1 - u) / tail) / log r, in the float operations :meth:`map` truncates."""
+        x = np.subtract(1.0, u)
+        x /= self.tail
+        np.log(x, out=x)
+        x /= self.log_r
+        return x
+
     def draw(self, n: int, rng: np.random.Generator) -> np.ndarray:
         return self.map(rng.random(n))
+
+    def guide(self) -> np.ndarray:
+        """The guide table of :meth:`map` over words: entry b is the draw of every
+        word whose top ``_GUIDE_BITS`` bits are b, or ``_MIXED`` unless the map
+        is shown to give one draw over the whole bucket.
+
+        A bucket holds a draw when the map gives that draw at its first and
+        last uniform, a and b, and, with a geometric tail, the quotient x the
+        map computes lies more than ``eta`` from every integer at both.  The
+        cut count is monotone in u, exactly.  The exact quotient
+        q(u) = log((1 - u)/tail)/log r (with the stored tail and log r) is
+        monotone too; the map computes x = fl(fl(log(fl((1 - u)/tail)))/log r),
+        and 1 - u is exact for every uniform of a word.  With e = 2**-53 and
+        numpy's log within 4 ulp (2e relative per ulp), the three rounded
+        operations give |x - q| <= delta = e (1.03 + 9.01 L)/|log r|, where
+        L = 36.75 + |log tail| bounds |log((1 - u)/tail)| over 1 - u in
+        [2**-53, 1].  With eta = 2 delta, q is more than delta from every
+        integer at a and b, so it has x's integer part there, and the draw
+        made from q equals the map's at both ends.  That draw is monotone in
+        u, so it is constant over [a, b], and q(u) stays more than delta
+        inside one step of it; x(u) is within delta of q(u), so the map,
+        however its log is evaluated, gives that draw at every u between.
+        ``eta = (4 + 20 L) e/|log r|`` covers 2 delta; as r nears 1 it only
+        marks more buckets mixed.
+        """
+        shift = 64 - _GUIDE_BITS
+        first = np.arange(2 ** _GUIDE_BITS, dtype=np.uint64) << np.uint64(shift)
+        ends = _uniforms(np.stack([first, first | np.uint64(2 ** shift - 1)]))
+        draws = self.map(ends)
+        table = np.where(draws[0] == draws[1], draws[0], _MIXED)
+        if self.tail != 0.0:
+            x = self._quotient(ends)
+            eta = (4.0 + 20.0 * (36.75 + abs(math.log(self.tail)))) * _UNIT / abs(self.log_r)
+            table[(np.abs(x - np.round(x)) <= eta).any(axis=0)] = _MIXED
+        return table
+
+    def draw_words(self, guide: np.ndarray, words: np.ndarray, index: np.ndarray, out: np.ndarray) -> None:
+        """Write the draw of each word in ``words`` into ``out``, in its shape:
+        the entry of ``guide``, this law's :meth:`guide`, for the word's top
+        bits, or :meth:`map` of its uniform in a mixed bucket.  ``index`` is an
+        intp buffer in the shape of ``words``."""
+        np.right_shift(words, _GUIDE_SHIFT, out=index.view(np.uint64))
+        np.take(guide, index, out=out, mode="clip")  # the index is in range: clip skips the bounds check
+        mixed = np.flatnonzero(out == _MIXED)
+        if mixed.size:
+            out.reshape(-1)[mixed] = self.map(_uniforms(words.reshape(-1)[mixed]))
+
+
+def _uniforms(words: np.ndarray) -> np.ndarray:
+    """The uniform of each Philox word, ``(w >> 11) * 2**-53``: what ``Generator.random``
+    returns for the same words."""
+    u = (words >> np.uint64(11)).astype(np.float64)
+    u *= _UNIT
+    return u
 
 
 def lifetime_law(spec: LifetimeSpec) -> DrawLaw:
@@ -211,7 +283,7 @@ def sample_lifetimes(law: DrawLaw, n: int, rng: np.random.Generator) -> np.ndarr
     return law.draw(n, rng)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ChainLaws:
     """Everything one chain draws from, computed once per spec."""
 
@@ -219,12 +291,15 @@ class ChainLaws:
     delay: DrawLaw
     mu: float
     sd: float  # sqrt(Var[L] / mu**3): renewals in n steps have standard deviation sd * sqrt(n)
+    lifetime_guide: np.ndarray  # lifetime.guide()
+    delay_guide: np.ndarray  # delay.guide()
 
     @classmethod
     def of(cls, spec: LifetimeSpec) -> "ChainLaws":
         mu = spec.mean()
         sd = math.sqrt(max(spec.variance(), 0.0) / mu ** 3)
-        return cls(lifetime_law(spec), delay_law(spec), mu, sd)
+        lifetime, delay = lifetime_law(spec), delay_law(spec)
+        return cls(lifetime, delay, mu, sd, lifetime.guide(), delay.guide())
 
     def batch(self, span: int) -> int:
         """Lifetimes to draw for ``span`` steps: the mean count plus four sd, so a
@@ -245,44 +320,48 @@ def _superpose(laws: ChainLaws, steps: int, rngs, out: np.ndarray) -> None:
     that ``rngs`` yields.
 
     A chain's first renewal comes after an equilibrium delay, drawn from its
-    first uniform, and each later one after a lifetime.  Chains run in groups
-    that fill a block of ``BLOCK`` uniforms, one row each, for as many rounds
-    as the longest needs.  In round 1 a row takes the delay's uniform and then
+    first word, and each later one after a lifetime.  Chains run in groups
+    that fill a block of ``BLOCK`` words, one row each, for as many rounds as
+    the longest needs.  In round 1 a row takes the delay's word and then
     ``width`` lifetimes', so one cumsum gives every epoch from the first
     renewal on; a chain whose delay is past ``steps`` still fills that row.
-    Each later round fills ``width`` lifetimes' uniforms per live row and adds
+    Each later round fills ``width`` lifetimes' words per live row and adds
     the row's last epoch.  Every round fills each row from its own generator,
     in stream order, so no epoch depends on the block size.  A group's
     generators are taken from ``rngs`` only once the group before is done, so
-    they may be the earlier group's, re-keyed.
+    they may be the earlier group's, re-keyed.  The word, index and epoch
+    buffers are made once and serve every round.
     """
     width, size = _rows(laws, steps)
     one = out.dtype.type(1)  # an untyped 1 sends add.at on uint8 down a path about 30x slower
+    n = size * (width + 1)
+    words, index, epochs = np.empty(n, dtype=np.uint64), np.empty(n, dtype=np.intp), np.empty(n, dtype=np.int64)
     rngs = iter(rngs)
     while rows := list(itertools.islice(rngs, size)):
-        u = np.empty(len(rows) * (width + 1))
-        block, carry = u.reshape(len(rows), width + 1), None
+        cols, carry = width + 1, None
         while rows:
+            shape, used = (len(rows), cols), len(rows) * cols
+            block, e = words[:used].reshape(shape), epochs[:used].reshape(shape)
             for rng, row in zip(rows, block):
-                rng.random(out=row)
-            e = laws.lifetime.map(block)
+                row[:] = rng.bit_generator.random_raw(cols)
+            laws.lifetime.draw_words(laws.lifetime_guide, block, index[:used].reshape(shape), e)
             if carry is None:
-                e[:, 0] = laws.delay.map(block[:, 0])
+                laws.delay.draw_words(laws.delay_guide, block[:, 0], index[: len(rows)], e[:, 0])
             else:
                 e[:, 0] += carry
             np.cumsum(e, axis=1, out=e)
             np.add.at(out, e[e < steps], one)  # chains may share an epoch
             live = e[:, -1] < steps
-            rows, carry = list(itertools.compress(rows, live)), e[live, -1]
-            block = u[: len(rows) * width].reshape(len(rows), width)
+            rows, carry, cols = list(itertools.compress(rows, live)), e[live, -1], width
 
 
 def simulate_chain(spec: LifetimeSpec, steps: int, rng: np.random.Generator) -> np.ndarray:
     """One stationary renewal indicator chain X_0..X_{steps-1}: bits set at its
     renewal epochs, written straight into the uint8 result.  The delay and the
-    lifetimes come from ``rng`` in stream order; a delay past ``steps`` still
-    fills its first row, so ``rng`` advances by a row's uniforms whatever the
-    delay."""
+    lifetimes come from the words of ``rng``'s bit generator in stream order,
+    one each, as from the uniforms of ``rng.random``; a delay past ``steps``
+    still fills its first row, so ``rng`` advances by a row's words whatever
+    the delay."""
     bits = np.zeros(steps, dtype=np.uint8)
     _superpose(ChainLaws.of(spec), steps, [rng], bits)
     return bits

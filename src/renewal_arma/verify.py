@@ -118,8 +118,8 @@ def analytic_gates(spec: LifetimeSpec, M: int) -> list[GateResult]:
 
     gamma_renewal = acvf_renewal(pgf, M, 50)
     gamma_model = arma_acvf(model, 50)
-    out.append(_gate("acvf_identity", np.max(np.abs(gamma_model - gamma_renewal)), 1e-8,
-                     "|gamma_model(h) - gamma_renewal(h)|, h <= 50"))
+    out.append(_gate("acvf_identity", np.max(np.abs(gamma_model - gamma_renewal)),
+                     1e-8 * max(1.0, gamma_renewal[0]), "|gamma_model(h) - gamma_renewal(h)|, h <= 50"))
 
     var_l = spec.variance()
     k_formula = scale_constant(var_l, pgf.den, theta_poly(model))
@@ -146,7 +146,7 @@ def analytic_gates(spec: LifetimeSpec, M: int) -> list[GateResult]:
         out.append(_gate("closed_form_match", max(diffs), 1e-8,
                          "closed-form AR(2)/MA(1) coefficients vs numeric factorization"))
 
-    out.append(_gate("variance_limit", abs(second_moment_limit(pgf) - var_l), 1e-6,
+    out.append(_gate("variance_limit", abs(second_moment_limit(pgf) - var_l), 1e-6 * max(1.0, var_l),
                      "exact generating-function limit D(1)/Q(1)^2 vs Var[L]"))
 
     deflate_check = (Poly((1.0, -1.0)) * phi_poly(model)).scale(pgf.den.coeffs[0])
@@ -160,7 +160,7 @@ def analytic_gates(spec: LifetimeSpec, M: int) -> list[GateResult]:
 
     out.append(_gate("mean_routes", abs(spec.mean() - pgf.mean()), 1e-10,
                      "closed form vs survival series S(1) = A(1)/Q(1)"))
-    out.append(_gate("variance_routes", abs(spec.variance() - pgf.variance()), 1e-10,
+    out.append(_gate("variance_routes", abs(var_l - pgf.variance()), 1e-10 * max(1.0, var_l),
                      "closed form vs 2 S'(1) + mu - mu^2"))
 
     if spec.p == 2:
@@ -342,7 +342,7 @@ def verify_model(model, pgf: RationalPGF | None = None) -> list[GateResult]:
             err = float(np.max(np.abs(gamma_model - gamma)))
         except RenewalArmaError:
             err = math.inf
-        out.append(_gate("acvf_identity", err, 1e-8, "model ACVF vs renewal ACVF"))
+        out.append(_gate("acvf_identity", err, 1e-8 * max(1.0, gamma[0]), "model ACVF vs renewal ACVF"))
     return out
 
 

@@ -1,4 +1,5 @@
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -41,6 +42,37 @@ def lifetime_sums(seed, k, count):
             num, den = num * pgf.num, den * pgf.den
         out.append((num, den))
     return out
+
+
+def exact_moments(spec) -> tuple[Fraction, Fraction]:
+    """E[L] and E[L**2] in rational arithmetic from the head, r and the geometric tail sums."""
+    head, r = [Fraction(f) for f in spec.head], Fraction(spec.r)
+    tail = (1 - r) * (1 - sum(head))  # f_{p+1}; then f_{p+1+k} = tail * r**k
+    a = len(head) + 1
+    s0, s1, s2 = 1 / (1 - r), r / (1 - r) ** 2, r * (1 + r) / (1 - r) ** 3  # sum of k**j r**k
+    m1 = sum(n * f for n, f in enumerate(head, 1)) + tail * (a * s0 + s1)
+    m2 = sum(n * n * f for n, f in enumerate(head, 1)) + tail * (a * a * s0 + 2 * a * s1 + s2)
+    return m1, m2
+
+
+def exact_variance(spec) -> Fraction:
+    """Var[L] in rational arithmetic."""
+    m1, m2 = exact_moments(spec)
+    return m2 - m1 * m1
+
+
+def exact_acvf(spec, M, hmax) -> list[Fraction]:
+    """gamma(0..hmax) of M superposed stationary chains in rational arithmetic:
+    gamma(h) = (M/mu)(u_h - 1/mu), with u_0 = 1 and the renewal recursion
+    u_n = f_1 u_{n-1} + ... + f_n u_0."""
+    head, r = [Fraction(f) for f in spec.head], Fraction(spec.r)
+    tail = (1 - r) * (1 - sum(head))
+    f = [Fraction(0), *head, *(tail * r ** k for k in range(hmax))]
+    mu = exact_moments(spec)[0]
+    u = [Fraction(1)]
+    for n in range(1, hmax + 1):
+        u.append(sum(f[k] * u[n - k] for k in range(1, n + 1)))
+    return [M / mu * (x - 1 / mu) for x in u]
 
 
 @pytest.fixture(scope="session")

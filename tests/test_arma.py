@@ -25,7 +25,7 @@ from renewal_arma.arma import ArmaModel, model_from_dict, model_to_dict, phi_pol
 from renewal_arma.errors import SingularEvaluationError
 from renewal_arma.polynomials import roots
 from renewal_arma.verify import verify_spec
-from conftest import dirichlet_specs
+from conftest import dirichlet_specs, exact_variance
 
 
 def p2_oracle_theta(f1, f2, r):
@@ -35,17 +35,6 @@ def p2_oracle_theta(f1, f2, r):
     center = f1 * f2 * (1 - r) ** 2 + f1 * f3 * (2 - r) + r * (1 - f1 ** 2 - f2 ** 2) + f2 * f3
     a1 = (-center - math.sqrt(center ** 2 - 4 * side ** 2)) / (2 * side)
     return -1.0 / a1
-
-
-def exact_variance(spec) -> Fraction:
-    """Var[L] in rational arithmetic from the head, r and the geometric tail sums."""
-    head, r = [Fraction(f) for f in spec.head], Fraction(spec.r)
-    tail = (1 - r) * (1 - sum(head))  # f_{p+1}; then f_{p+1+k} = tail * r**k
-    a = len(head) + 1
-    s0, s1, s2 = 1 / (1 - r), r / (1 - r) ** 2, r * (1 + r) / (1 - r) ** 3  # sum of k**j r**k
-    m1 = sum(n * f for n, f in enumerate(head, 1)) + tail * (a * s0 + s1)
-    m2 = sum(n * n * f for n, f in enumerate(head, 1)) + tail * (a * a * s0 + 2 * a * s1 + s2)
-    return m2 - m1 * m1
 
 
 class TestFactorize:

@@ -420,6 +420,18 @@ class TestVerify:
         assert code != 2
         assert "VERIFY:" in out
 
+    def test_quick_gates_pass_at_large_M(self, capsys):
+        # both autocovariances scale with M, and acvf_identity's bound with them
+        code, out, _ = run(capsys, "verify", "--head", "0.2,0.3", "--r", "0.6", "--M", str(10 ** 15),
+                           "--level", "quick")
+        assert code == 0, out
+
+    def test_model_gates_pass_at_large_M(self, capsys, tmp_path):
+        model_path = self._model_file(capsys, tmp_path, 10 ** 15)
+        code, out, _ = run(capsys, "verify", "--model", model_path, "--head", "0.2,0.3", "--r", "0.6")
+        assert code == 0, out
+        assert "acvf_identity" in out
+
     @pytest.mark.parametrize("level", ["quick", "full"])
     @pytest.mark.parametrize("seed", [-1, 2 ** 64])
     def test_seed_out_of_range(self, capsys, level, seed):

@@ -12,6 +12,7 @@ from renewal_arma.simulate import (
     ChainLaws,
     _chain_keys,
     _chain_rngs,
+    _uniforms,
     chain_rng,
     context_frequencies,
     delay_law,
@@ -240,6 +241,13 @@ def test_stream_splits_freely(seed, chain, a, b):
     # a scalar draw takes the next uniform, as a batch of one does
     rng = chain_rng(seed, chain)
     assert np.array_equal(np.concatenate([[rng.random()], rng.random(b)]), chain_rng(seed, chain).random(b + 1))
+    # the uniforms are the Philox words' top 53 bits: words and uniforms are one stream
+    words = chain_rng(seed, chain).bit_generator.random_raw(a + b)
+    assert np.array_equal((words >> np.uint64(11)) * 2.0 ** -53, whole)
+    assert np.array_equal(_uniforms(words), whole)
+    # the re-keyed pool reads each chain's words, as chain_rng does
+    for c, rng in enumerate(_chain_rngs(seed, 3, 2)):
+        assert np.array_equal(rng.bit_generator.random_raw(a + b), chain_rng(seed, c).bit_generator.random_raw(a + b))
 
 
 # The searchsorted kernel that the comparison-sum kernel replaced, kept as the
@@ -335,22 +343,61 @@ def edge_uniforms(spec):
     return u[(u >= 0.0) & (u < 1.0)]
 
 
+def edge_words(spec):
+    """Words at every edge of the guide tables: each bucket's first and last
+    word and their neighbours, the words of every head cdf entry and of every
+    integer crossing of the tail quotient, with their neighbours, and the
+    largest words below 2**64."""
+    shift = 64 - simulate._GUIDE_BITS
+    first = np.arange(2 ** simulate._GUIDE_BITS, dtype=np.uint64) << np.uint64(shift)
+    last = first | np.uint64(2 ** shift - 1)
+    # the first uniform at or above each edge, as a 53-bit grid index
+    mu = spec.mean()
+    edges = [np.cumsum(spec.head), np.cumsum(spec.survivals(spec.p) / mu)]
+    for law in (lifetime_law(spec), delay_law(spec)):
+        if law.tail:  # 1 - u = tail * r**n for n = 0, 1, ... down to the smallest uniform gap
+            n = np.arange(min(4000, int(40.0 / -law.log_r) + 2))
+            edges.append(1.0 - law.tail * np.exp(n * law.log_r))
+    grid = np.ceil(np.concatenate(edges) * 2.0 ** 53)
+    grid = grid[(grid >= 0) & (grid < 2.0 ** 53)].astype(np.uint64)
+    near = np.concatenate([grid - np.uint64(1), grid, grid + np.uint64(1)])
+    near = near[near < np.uint64(2 ** 53)] << np.uint64(11)
+    top = np.uint64(2 ** 64 - 1) - np.arange(4, dtype=np.uint64)
+    return np.concatenate([first, first + np.uint64(1), last - np.uint64(1), last,
+                           near, near | np.uint64(2 ** 11 - 1), top, top - np.uint64(2 ** 11)])
+
+
+def guided(law, words):
+    """The draws of ``words`` through ``law``'s guide table, as the kernel makes them."""
+    out, index = np.empty(len(words), dtype=np.int64), np.empty(len(words), dtype=np.intp)
+    law.draw_words(law.guide(), words, index, out)
+    return out
+
+
 @settings(max_examples=300, deadline=None)
-@given(lifetime_specs(), st.lists(st.floats(0.0, 1.0, exclude_max=True), max_size=50))
-@example(make_constant_hazard([0.2, 0.3], 0.99), [0.5])
-@example(make_constant_hazard([0.5, 0.5], 0.0), [0.5])
-@example(make_constant_hazard([0.3, 0.3], 0.0), [0.3, 0.6, 0.9])
-@example(make_constant_hazard([], 0.5), [0.0, 0.25])
+@given(lifetime_specs(), st.lists(st.floats(0.0, 1.0, exclude_max=True), max_size=50),
+       st.lists(st.integers(0, 2 ** 64 - 1), max_size=50))
+@example(make_constant_hazard([0.2, 0.3], 0.99), [0.5], [])
+@example(make_constant_hazard([0.5, 0.5], 0.0), [0.5], [])
+@example(make_constant_hazard([0.3, 0.3], 0.0), [0.3, 0.6, 0.9], [])
+@example(make_constant_hazard([], 0.5), [0.0, 0.25], [])
 # the head cdf rounds to 1 although the tail mass is positive
 @example(make_constant_hazard([0.19274764576070666, 0.19518600551152443, 0.09328377367501196,
-                               0.06510711578676671, 0.4536754592659901], 0.5), [0.999])
-def test_draws_match_reference(spec, extra):
+                               0.06510711578676671, 0.4536754592659901], 0.5), [0.999], [])
+# the tail quotient moves by more than 1 across every bucket near u = 1, so all of them are mixed
+@example(make_constant_hazard([0.2, 0.3], 0.9999), [0.5], [2 ** 64 - 2 ** 52])
+def test_draws_match_reference(spec, extra, extra_words):
     u = np.concatenate([edge_uniforms(spec), extra])
     n = len(u)
     assert np.array_equal(lifetime_law(spec).draw(n, Uniforms(u)), ref_sample_lifetimes(spec, n, Uniforms(u)))
     want = ref_sample_delays(spec, n, Uniforms(u))
     assert np.array_equal(delay_law(spec).draw(n, Uniforms(u)), want)
     assert np.array_equal(delay_law(spec).map(u), want)
+    # the guide tables give the map's draw of every word, at every edge
+    words = np.concatenate([edge_words(spec), np.array(extra_words, dtype=np.uint64)])
+    u = _uniforms(words)
+    assert np.array_equal(guided(lifetime_law(spec), words), ref_sample_lifetimes(spec, len(u), Uniforms(u)))
+    assert np.array_equal(guided(delay_law(spec), words), ref_sample_delays(spec, len(u), Uniforms(u)))
 
 
 @pytest.mark.parametrize("steps", [1, 7, 10 ** 4])
@@ -405,6 +452,17 @@ def test_map_is_elementwise(head, r):
     for law in (lifetime_law(spec), delay_law(spec)):
         assert np.array_equal(law.map(block), np.array([law.map(row) for row in block]))
         assert np.array_equal(law.map(block).ravel(), law.map(u))
+    # so do a block of words and a strided column of it, through the guide tables
+    edges = edge_words(spec)
+    words = np.concatenate([chain_rng(81, 0).bit_generator.random_raw(151),
+                            edges[np.random.default_rng(82).integers(len(edges), size=150)]])
+    block, index = words.reshape(7, 43), np.empty((7, 43), dtype=np.intp)
+    for law in (lifetime_law(spec), delay_law(spec)):
+        out = np.empty((7, 43), dtype=np.int64)
+        law.draw_words(law.guide(), block, index, out)
+        assert np.array_equal(out, law.map(_uniforms(block)))
+        law.draw_words(law.guide(), block[:, -1], index[0, :7], out[:, 0])
+        assert np.array_equal(out[:, 0], law.map(_uniforms(block[:, -1])))
 
 
 KEY_SEEDS = [0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 63, 2 ** 64 - 1, MC_SEED,

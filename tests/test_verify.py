@@ -1,14 +1,17 @@
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from renewal_arma import factorize, make_constant_hazard
-from renewal_arma.arma import COMMON_ROOT_TOL, check_causal_invertible
+from renewal_arma import arma_acvf, factorize, make_constant_hazard
+from renewal_arma.arma import COMMON_ROOT_TOL, check_causal_invertible, second_moment_limit
 from renewal_arma.renewal import acvf_renewal
 from renewal_arma.simulate import SimConfig, simulate_counts
-from renewal_arma.verify import _chi_square_gate, analytic_gates, binom_pmf, chi2_sf, verify_spec
+from renewal_arma.verify import _chi_square_gate, analytic_gates, binom_pmf, chi2_sf, verify_model, verify_spec
+
+from conftest import exact_acvf, exact_variance
 
 FULL_GATES_P2 = [
     "stationary_delayed_probs", "generating_function_identity", "acvf_identity",
@@ -41,12 +44,47 @@ NEAR_UNIT_HEADS = _near_unit_heads()
 
 @pytest.mark.parametrize("r", [0.99, 0.999, 0.9999])
 def test_moment_routes_near_unit_tail_rate(r):
-    # The absolute 1e-10 of variance_routes is out of reach from r = 0.999 on,
-    # where Var[L] is about 1e6 and its ulp about 1e-10.
-    names = ("mean_routes", "variance_routes") if r == 0.99 else ("mean_routes",)
+    # Var[L] reaches about 1e8 here and its ulp about 1e-8, so both variance
+    # gates hold only with bounds relative to Var[L]
+    names = ("mean_routes", "variance_routes", "variance_limit")
     failed = [g.line() for spec in NEAR_UNIT_HEADS[r] for g in analytic_gates(spec, 5)
               if g.name in names and not g.passed]
     assert not failed, failed
+
+
+def test_variance_gates_scale_with_var_l():
+    # p = 10, fourth draw, r = 0.9999: Var[L] = 5.6e7, and its two routes and
+    # the exact limit each lie within about 1e-14 relative of the exact value;
+    # they missed the absolute bounds 1e-10 and 1e-6 by 8.2e-8 and 1.1e-6
+    spec = NEAR_UNIT_HEADS[0.9999][43]
+    want = exact_variance(spec)
+    assert 5.5e7 < want < 5.7e7
+    for got in (spec.variance(), spec.pgf().variance(), second_moment_limit(spec.pgf())):
+        assert abs(Fraction(got) - want) <= Fraction(1e-13) * want
+    var_l = spec.variance()
+    gates = {g.name: g for g in analytic_gates(spec, 5)}
+    assert gates["variance_routes"].threshold == 1e-10 * var_l
+    assert gates["variance_limit"].threshold == 1e-6 * var_l
+    assert gates["variance_routes"].passed and gates["variance_limit"].passed
+
+
+def test_acvf_identity_scales_with_M():
+    # both autocovariances are M times those of one chain, about 2e14 at
+    # M = 10**15, where an absolute 1e-8 is below their rounding; each is within
+    # about 1e-15 relative of the exact renewal recursion
+    spec = make_constant_hazard((0.2, 0.3), 0.6)
+    M = 10 ** 15
+    want = exact_acvf(spec, M, 50)
+    model = factorize(spec.pgf(), M)
+    for got in (acvf_renewal(spec.pgf(), M, 50), arma_acvf(model, 50)):
+        assert max(abs(Fraction(g) - w) for g, w in zip(got, want)) <= Fraction(1e-13) * want[0]
+    gamma0 = acvf_renewal(spec.pgf(), M, 50)[0]
+    for gate in (*analytic_gates(spec, M), *verify_model(model, spec.pgf())):
+        if gate.name == "acvf_identity":
+            assert gate.threshold == 1e-8 * gamma0 and gate.passed, gate.line()
+    # below gamma(0) = 1 the bound stays 1e-8
+    small = {g.name: g for g in analytic_gates(make_constant_hazard((0.2, 0.3), 0.6), 1)}
+    assert small["acvf_identity"].threshold == 1e-8
 
 
 @pytest.mark.parametrize("p, seed", [(40, 7), (60, 0), (120, 0)])
