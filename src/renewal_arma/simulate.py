@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import mmap
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,6 +43,29 @@ _GUIDE_BITS = 12  # a word's top bits index its law's guide table: 2**12 int64 e
 _GUIDE_SHIFT = np.uint64(64 - _GUIDE_BITS)
 _MIXED = -1  # the guide entry of a bucket whose words may give more than one draw
 _UNIT = 2.0 ** -53  # the uniform of word w is (w >> 11) * _UNIT, as Generator.random makes it
+_MAPPED_BYTES = 2 ** 20  # a series_zeros array this big or bigger gets a memory map of its own
+# private pages, faulted in by the one call that maps them where the system can
+_MAP_ARGS = ({"flags": mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS | getattr(mmap, "MAP_POPULATE", 0)}
+             if hasattr(mmap, "MAP_ANONYMOUS") else {})
+
+
+def series_zeros(n: int, dtype) -> np.ndarray:
+    """A zero array of ``n`` items; from ``_MAPPED_BYTES`` up, in an anonymous
+    memory map of its own.
+
+    A freed series-sized block of the malloc heap stays resident, and a small
+    allocation that lands in it can leave the next series no room but the top
+    of the heap, so the peak resident size would hang on the order of
+    unrelated allocations.  A mapped array's pages go back to the system with
+    its last view: the peak is the arrays alive at once.
+    """
+    dtype = np.dtype(dtype)
+    if n * dtype.itemsize >= _MAPPED_BYTES:
+        try:
+            return np.frombuffer(mmap.mmap(-1, n * dtype.itemsize, **_MAP_ARGS), dtype=dtype)
+        except (OSError, OverflowError):
+            pass  # no map that size: numpy's allocation raises its own error, or succeeds
+    return np.zeros(n, dtype=dtype)
 
 
 @dataclass(frozen=True)
@@ -362,7 +386,7 @@ def simulate_chain(spec: LifetimeSpec, steps: int, rng: np.random.Generator) -> 
     one each, as from the uniforms of ``rng.random``; a delay past ``steps``
     still fills its first row, so ``rng`` advances by a row's words whatever
     the delay."""
-    bits = np.zeros(steps, dtype=np.uint8)
+    bits = series_zeros(steps, np.uint8)
     _superpose(ChainLaws.of(spec), steps, [rng], bits)
     return bits
 
@@ -376,7 +400,7 @@ def simulate_counts(config: SimConfig, threads: int | None = None) -> CountSerie
     worth of generators re-keyed to its key, so the M chains are never held
     at once.  ``threads`` is accepted for compatibility and ignored.
     """
-    values = np.zeros(config.steps, dtype=np.int64)
+    values = series_zeros(config.steps, np.int64)
     laws = ChainLaws.of(config.spec)
     rngs = _chain_rngs(config.seed, config.M, min(config.M, _rows(laws, config.steps)[1]))
     _superpose(laws, config.steps, rngs, values)
@@ -389,7 +413,7 @@ def sample_acvf(series, hmax: int) -> np.ndarray:
     n = len(y)
     if hmax >= n:
         raise ValueError("hmax must be smaller than the series length")
-    yc = y - y.mean()
+    yc = np.subtract(y, y.mean(), out=series_zeros(n, float))
     return np.array([np.dot(yc[: n - h], yc[h:]) / n for h in range(hmax + 1)])
 
 
@@ -407,7 +431,7 @@ def context_frequencies(bits, order: int) -> np.ndarray:
         raise ValueError("bit sequence too short for the requested context length")
     # the window code, x_{t-order} in the top bit down to x_t in bit 0
     # (the unsafe cast lets float 0.0/1.0 bits count as integers)
-    codes = np.zeros(n - order, dtype=np.intp)
+    codes = series_zeros(n - order, np.intp)
     for j in range(order, -1, -1):
         codes <<= 1
         np.add(codes, bits[order - j : n - j], out=codes, casting="unsafe")

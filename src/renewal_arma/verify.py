@@ -40,10 +40,12 @@ from .markov import context_hazards, mgf_trivariate, step_pair_law, window_law, 
 from .polynomials import TOL_CIRCLE, Poly
 from .renewal import acvf_renewal, delayed_probs, gen_eval_renewal
 from .simulate import (
+    BLOCK,
     SimConfig,
     chain_rng,
     context_frequencies,
     sample_acvf,
+    series_zeros,
     simulate_chain,
     simulate_counts,
 )
@@ -180,7 +182,8 @@ def monte_carlo_gates(spec: LifetimeSpec, M: int, seed: int) -> list[GateResult]
     pgf = spec.pgf()
     mu = pgf.mean()
     series = simulate_counts(SimConfig(spec=spec, M=M, steps=FULL_STEPS, seed=seed))
-    y = series.values.astype(float)
+    y = series_zeros(FULL_STEPS, float)
+    y[:] = series.values
 
     se = batch_se(y)
     out.append(_gate("mc_marginal_mean", abs(y.mean() - M / mu), 3 * se, "|sample mean - M/mu| vs 3*SE"))
@@ -194,7 +197,7 @@ def monte_carlo_gates(spec: LifetimeSpec, M: int, seed: int) -> list[GateResult]
     out.append(_gate("mc_stationarity_thirds", worst, 5.0, "mean drift across thirds, units of SE"))
 
     gamma = acvf_renewal(pgf, M, 10)
-    ghat = sample_acvf(series, 10)
+    ghat = sample_acvf(y, 10)
     batch_len = FULL_STEPS // N_BATCHES
     batch_acvf = np.array([
         sample_acvf(y[i * batch_len : (i + 1) * batch_len], 10) for i in range(N_BATCHES)
@@ -206,7 +209,7 @@ def monte_carlo_gates(spec: LifetimeSpec, M: int, seed: int) -> list[GateResult]
     out.append(_chi_square_gate(pgf, M, series))
 
     if spec.p == 2:
-        out += _markov_gates(spec, M, seed, series)
+        out += _markov_gates(spec, M, seed, y)
     return out
 
 
@@ -287,7 +290,9 @@ def chi2_sf(x: float, df: int) -> float:
     return tail + math.fsum(terms)
 
 
-def _markov_gates(spec: LifetimeSpec, M: int, seed: int, series) -> list[GateResult]:
+def _markov_gates(spec: LifetimeSpec, M: int, seed: int, y: np.ndarray) -> list[GateResult]:
+    """The joint, conditional and moment gates of a two-term head; ``y`` is the
+    superposed count series as floats."""
     out = []
     # one long indicator chain on a stream index the superposition never uses
     bits = simulate_chain(spec, FULL_STEPS, chain_rng(seed, M))
@@ -295,8 +300,9 @@ def _markov_gates(spec: LifetimeSpec, M: int, seed: int, series) -> list[GateRes
 
     # window counts x_t + 2 x_{t-1} + 4 x_{t-2} of each batch of triples
     batch = (len(bits) - 2) // N_BATCHES
-    freqs = np.array([context_frequencies(bits[i * batch : (i + 1) * batch + 2], 2).ravel() / batch
-                      for i in range(N_BATCHES)])
+    counts = np.array([context_frequencies(bits[i * batch : (i + 1) * batch + 2], 2).ravel()
+                       for i in range(N_BATCHES)])
+    freqs = counts / batch
     worst = 0.0
     for code, target in enumerate(law):
         if target == 0.0:  # an impossible window: every batch must miss it
@@ -308,7 +314,10 @@ def _markov_gates(spec: LifetimeSpec, M: int, seed: int, series) -> list[GateRes
         worst = max(worst, abs(est - target) / (3 * se))
     out.append(_gate("mc_joint_triples", worst, 1.0, "max cell error / (3*SE)"))
 
-    tally = context_frequencies(bits, 2)
+    # the batches hold every triple but the last few, so they sum to the whole tally
+    tally = counts.sum(axis=0).reshape(-1, 2)
+    if len(bits) - N_BATCHES * batch > 2:
+        tally += context_frequencies(bits[N_BATCHES * batch :], 2)
     seen = tally.sum(axis=1)
     kept = seen >= MIN_CONTEXT_COUNT
     freq = tally[kept, 1] / seen[kept]
@@ -316,10 +325,18 @@ def _markov_gates(spec: LifetimeSpec, M: int, seed: int, series) -> list[GateRes
     worst = np.max(np.abs(freq - context_hazards(spec, 2)[kept]) / (3 * se), initial=0.0)
     out.append(_gate("mc_conditionals", worst, 1.0, "max context error / (3*SE)"))
 
-    y = series.values.astype(float)
+    # exp(s0 y_t + s1 y_{t-1} + s2 y_{t-2}), summed in that order a block at a
+    # time into one series that serves all three points
+    lags = (y[2:], y[1:-1], y[:-2])  # y_t, y_{t-1}, y_{t-2}
+    samples, term = series_zeros(len(y) - 2, float), np.empty(BLOCK)
     worst = 0.0
     for s in ((0.1, 0.2, 0.3), (0.2, 0.0, 0.1), (-0.1, 0.1, -0.2)):
-        samples = np.exp(s[0] * y[2:] + s[1] * y[1:-1] + s[2] * y[:-2])
+        for lo in range(0, len(samples), BLOCK):
+            part = samples[lo : lo + BLOCK]
+            np.multiply(lags[0][lo : lo + BLOCK], s[0], out=part)
+            for lag, c in zip(lags[1:], s[1:]):
+                part += np.multiply(lag[lo : lo + BLOCK], c, out=term[: len(part)])
+        np.exp(samples, out=samples)
         target = mgf_trivariate(law, M, *s)
         se = batch_se(samples)
         worst = max(worst, abs(samples.mean() - target) / (3 * se))

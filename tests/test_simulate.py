@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from renewal_arma import SimConfig, acvf_renewal, make_constant_hazard, sample_acvf, simulate, simulate_counts
 from renewal_arma.simulate import (
+    _MAPPED_BYTES,
     ChainLaws,
     _chain_keys,
     _chain_rngs,
@@ -18,6 +19,7 @@ from renewal_arma.simulate import (
     delay_law,
     lifetime_law,
     sample_lifetimes,
+    series_zeros,
     simulate_chain,
 )
 from renewal_arma.errors import RenewalArmaError
@@ -168,6 +170,26 @@ class TestSimulateCounts:
         assert SimConfig(spec=p2_spec, M=2 ** 32, steps=10, seed=0).M == 2 ** 32
         with pytest.raises(ValueError):
             SimConfig(spec=p2_spec, M=2 ** 32 + 1, steps=10, seed=0)
+
+
+class TestSeriesZeros:
+    @pytest.mark.parametrize("dtype", [np.uint8, np.int64, np.float64])
+    @pytest.mark.parametrize("extra", [-1, 0])
+    def test_zeros_either_side_of_map_size(self, dtype, extra):
+        n = _MAPPED_BYTES // np.dtype(dtype).itemsize + extra
+        a = series_zeros(n, dtype)
+        assert a.dtype == dtype and a.shape == (n,) and a.flags.writeable
+        assert not a.any()
+        a[::7] = 1
+        assert a.sum() == len(range(0, n, 7))
+
+    def test_view_outlives_array(self):
+        # a mapped array's pages stay until its last view is gone
+        a = series_zeros(_MAPPED_BYTES, np.int64)
+        tail = a[-10:]
+        del a
+        tail += 3
+        assert tail.tolist() == [3] * 10
 
 
 class TestSampleAcvf:

@@ -8,8 +8,21 @@ import pytest
 from renewal_arma import arma_acvf, factorize, make_constant_hazard
 from renewal_arma.arma import COMMON_ROOT_TOL, check_causal_invertible, second_moment_limit
 from renewal_arma.renewal import acvf_renewal
-from renewal_arma.simulate import SimConfig, simulate_counts
-from renewal_arma.verify import _chi_square_gate, analytic_gates, binom_pmf, chi2_sf, verify_model, verify_spec
+from renewal_arma.markov import context_hazards, mgf_trivariate, window_law
+from renewal_arma.simulate import SimConfig, chain_rng, context_frequencies, simulate_chain, simulate_counts
+from renewal_arma.verify import (
+    FULL_STEPS,
+    MC_SEED,
+    MIN_CONTEXT_COUNT,
+    _chi_square_gate,
+    analytic_gates,
+    batch_se,
+    binom_pmf,
+    chi2_sf,
+    monte_carlo_gates,
+    verify_model,
+    verify_spec,
+)
 
 from conftest import exact_acvf, exact_variance
 
@@ -110,6 +123,28 @@ def test_impossible_windows_pass_without_nan():
         gates = verify_spec(spec, level="full")
     assert [g.name for g in gates] == FULL_GATES_P2
     assert all(g.passed for g in gates), [g for g in gates if not g.passed]
+
+
+def test_markov_gates_match_direct_statistics():
+    # mc_conditionals sums its tally from the batch counts and mc_trivariate_mgf
+    # forms its samples a block at a time; both equal, to the bit, the
+    # statistics taken over the whole series at once
+    spec, M = make_constant_hazard((0.2, 0.3), 0.6), 5
+    gates = {g.name: g.measured for g in monte_carlo_gates(spec, M, MC_SEED)}
+
+    tally = context_frequencies(simulate_chain(spec, FULL_STEPS, chain_rng(MC_SEED, M)), 2)
+    seen = tally.sum(axis=1)
+    kept = seen >= MIN_CONTEXT_COUNT
+    freq = tally[kept, 1] / seen[kept]
+    se = np.sqrt(np.maximum(freq * (1 - freq), 1e-12) / seen[kept])
+    assert gates["mc_conditionals"] == np.max(np.abs(freq - context_hazards(spec, 2)[kept]) / (3 * se))
+
+    y = simulate_counts(SimConfig(spec=spec, M=M, steps=FULL_STEPS, seed=MC_SEED)).values.astype(float)
+    law, worst = window_law(spec, 3), 0.0
+    for s in ((0.1, 0.2, 0.3), (0.2, 0.0, 0.1), (-0.1, 0.1, -0.2)):
+        samples = np.exp(s[0] * y[2:] + s[1] * y[1:-1] + s[2] * y[:-2])
+        worst = max(worst, abs(samples.mean() - mgf_trivariate(law, M, *s)) / (3 * batch_se(samples)))
+    assert gates["mc_trivariate_mgf"] == worst
 
 
 # --- the chi-square gate without scipy.stats; scipy.stats serves only as the reference here
