@@ -12,12 +12,13 @@ map the words of many short chains, or a cache-sized piece of one long chain,
 in a block of at most ``BLOCK`` words.
 
 A draw is a step function of its uniform, so most words are mapped by one
-gather from a guide table (Chen & Asau 1974) indexed by the word's top bits:
-each bucket of words that all give one draw holds that draw, and only a word
-in a mixed bucket goes through :meth:`DrawLaw.map`, which defines every draw.
-A bucket whose tail quotient comes within a rounding margin of an integer is
-counted as mixed, so the table gives the bytes the map gives
-(:meth:`DrawLaw.guide`).
+gather from their law's guide table (Chen & Asau 1974), which each law builds
+once, on first use, indexed by the word's top bits: each bucket of words that
+all give one draw holds that draw, and only a word in a mixed bucket goes
+through :meth:`DrawLaw.map`, which defines every draw with one
+``searchsorted`` over the law's cuts, whatever their number.  A bucket whose
+tail quotient comes within a rounding margin of an integer is counted as
+mixed, so the table gives the bytes the map gives (:attr:`DrawLaw.guide`).
 
 A Philox stream is a pure function of its key and its counter, so the chains
 of a count series need no generator each: :func:`_chain_keys` derives many
@@ -32,6 +33,7 @@ import itertools
 import math
 import mmap
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -187,7 +189,8 @@ class DrawLaw:
     it, which is ``searchsorted(cdf, u, side="right")``.  A uniform past the
     head mass lands at ``len(head) + floor(log(residual) / log(r))`` with
     ``residual = (1 - u) / tail``, which is exact (never truncated).  Each
-    draw depends on its own uniform only.
+    draw depends on its own uniform only.  The law's :attr:`guide` table is
+    built on first use and is no field, so equal laws compare and hash equal.
     """
 
     cuts: tuple[float, ...]
@@ -210,19 +213,17 @@ class DrawLaw:
 
     def map(self, u: np.ndarray) -> np.ndarray:
         """The draw of each uniform in ``u``, element by element, in the shape of ``u``."""
-        cuts = self.cuts
-        # the offset plus the number of cuts at or below u, in the smallest integers that hold it
-        hits = np.full(np.shape(u), self.offset, dtype=np.min_scalar_type(self.offset + len(cuts)))
-        for c in cuts:
-            np.add(hits, u >= c, out=hits)
+        # the offset plus the number of cuts at or below u: the cuts are a
+        # cumulative sum of nonnegative terms, so they are sorted
+        hits = np.searchsorted(self.cuts, u, side="right")
+        hits += self.offset
         if self.tail == 0.0:
-            return hits.astype(np.int64)
+            return hits
         # the geometric excess over the whole block: >= 0 on a tail draw, where
         # truncation is floor; on a head draw fl(1 - u) >= tail, so it is <= 0
         # and clips to 0
         k = self._quotient(u).astype(np.int64)
-        if cuts:
-            np.maximum(k, 0, out=k)
+        np.maximum(k, 0, out=k)
         k += hits
         return k
 
@@ -234,9 +235,7 @@ class DrawLaw:
         x /= self.log_r
         return x
 
-    def draw(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        return self.map(rng.random(n))
-
+    @cached_property
     def guide(self) -> np.ndarray:
         """The guide table of :meth:`map` over words: entry b is the draw of every
         word whose top ``_GUIDE_BITS`` bits are b, or ``_MIXED`` unless the map
@@ -272,13 +271,13 @@ class DrawLaw:
             table[(np.abs(x - np.round(x)) <= eta).any(axis=0)] = _MIXED
         return table
 
-    def draw_words(self, guide: np.ndarray, words: np.ndarray, index: np.ndarray, out: np.ndarray) -> None:
+    def draw_words(self, words: np.ndarray, index: np.ndarray, out: np.ndarray) -> None:
         """Write the draw of each word in ``words`` into ``out``, in its shape:
-        the entry of ``guide``, this law's :meth:`guide`, for the word's top
-        bits, or :meth:`map` of its uniform in a mixed bucket.  ``index`` is an
-        intp buffer in the shape of ``words``."""
+        the entry of :attr:`guide` for the word's top bits, or :meth:`map` of
+        its uniform in a mixed bucket.  ``index`` is an intp buffer in the
+        shape of ``words``."""
         np.right_shift(words, _GUIDE_SHIFT, out=index.view(np.uint64))
-        np.take(guide, index, out=out, mode="clip")  # the index is in range: clip skips the bounds check
+        np.take(self.guide, index, out=out, mode="clip")  # the index is in range: clip skips the bounds check
         mixed = np.flatnonzero(out == _MIXED)
         if mixed.size:
             out.reshape(-1)[mixed] = self.map(_uniforms(words.reshape(-1)[mixed]))
@@ -304,10 +303,10 @@ def delay_law(spec: LifetimeSpec) -> DrawLaw:
 
 def sample_lifetimes(law: DrawLaw, n: int, rng: np.random.Generator) -> np.ndarray:
     """Draw n lifetimes from ``law``, a :func:`lifetime_law`, off the next n uniforms of ``rng``."""
-    return law.draw(n, rng)
+    return law.map(rng.random(n))
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class ChainLaws:
     """Everything one chain draws from, computed once per spec."""
 
@@ -315,15 +314,12 @@ class ChainLaws:
     delay: DrawLaw
     mu: float
     sd: float  # sqrt(Var[L] / mu**3): renewals in n steps have standard deviation sd * sqrt(n)
-    lifetime_guide: np.ndarray  # lifetime.guide()
-    delay_guide: np.ndarray  # delay.guide()
 
     @classmethod
     def of(cls, spec: LifetimeSpec) -> "ChainLaws":
         mu = spec.mean()
         sd = math.sqrt(max(spec.variance(), 0.0) / mu ** 3)
-        lifetime, delay = lifetime_law(spec), delay_law(spec)
-        return cls(lifetime, delay, mu, sd, lifetime.guide(), delay.guide())
+        return cls(lifetime_law(spec), delay_law(spec), mu, sd)
 
     def batch(self, span: int) -> int:
         """Lifetimes to draw for ``span`` steps: the mean count plus four sd, so a
@@ -368,9 +364,9 @@ def _superpose(laws: ChainLaws, steps: int, rngs, out: np.ndarray) -> None:
             block, e = words[:used].reshape(shape), epochs[:used].reshape(shape)
             for rng, row in zip(rows, block):
                 row[:] = rng.bit_generator.random_raw(cols)
-            laws.lifetime.draw_words(laws.lifetime_guide, block, index[:used].reshape(shape), e)
+            laws.lifetime.draw_words(block, index[:used].reshape(shape), e)
             if carry is None:
-                laws.delay.draw_words(laws.delay_guide, block[:, 0], index[: len(rows)], e[:, 0])
+                laws.delay.draw_words(block[:, 0], index[: len(rows)], e[:, 0])
             else:
                 e[:, 0] += carry
             np.cumsum(e, axis=1, out=e)

@@ -82,10 +82,16 @@ def _causal_gate(report) -> GateResult:
                  "min root modulus of AR and MA polynomials", larger_is_better=True)
 
 
+def _batches(values: np.ndarray, n_batches: int = N_BATCHES) -> np.ndarray:
+    """The ``(n_batches, n)`` view of ``values``, one batch of n = len // n_batches per
+    row; the last ``len % n_batches`` values are left out."""
+    n = len(values) // n_batches
+    return values[: n_batches * n].reshape(n_batches, n)
+
+
 def batch_se(values: np.ndarray, n_batches: int = N_BATCHES) -> float:
     """Standard error of the mean estimated from batch means."""
-    n = len(values) // n_batches
-    means = np.array([values[i * n : (i + 1) * n].mean() for i in range(n_batches)])
+    means = _batches(values, n_batches).mean(axis=1)
     return float(means.std(ddof=1) / math.sqrt(n_batches))
 
 
@@ -160,7 +166,7 @@ def analytic_gates(spec: LifetimeSpec, M: int) -> list[GateResult]:
     pmf_err = np.max(np.abs(series[1:] - spec.pmfs(199)))
     out.append(_gate("pgf_series_matches_pmf", pmf_err, 1e-12, "long division vs closed-form pmf"))
 
-    out.append(_gate("mean_routes", abs(spec.mean() - pgf.mean()), 1e-10,
+    out.append(_gate("mean_routes", abs(spec.mean() - pgf.mean()), 1e-10 * max(1.0, spec.mean()),
                      "closed form vs survival series S(1) = A(1)/Q(1)"))
     out.append(_gate("variance_routes", abs(var_l - pgf.variance()), 1e-10 * max(1.0, var_l),
                      "closed form vs 2 S'(1) + mu - mu^2"))
@@ -198,10 +204,7 @@ def monte_carlo_gates(spec: LifetimeSpec, M: int, seed: int) -> list[GateResult]
 
     gamma = acvf_renewal(pgf, M, 10)
     ghat = sample_acvf(y, 10)
-    batch_len = FULL_STEPS // N_BATCHES
-    batch_acvf = np.array([
-        sample_acvf(y[i * batch_len : (i + 1) * batch_len], 10) for i in range(N_BATCHES)
-    ])
+    batch_acvf = np.array([sample_acvf(batch, 10) for batch in _batches(y)])
     se_h = batch_acvf.std(axis=0, ddof=1) / math.sqrt(N_BATCHES)
     worst = max(abs(ghat[h] - gamma[h]) / (5 * se_h[h]) for h in range(11))
     out.append(_gate("mc_acvf", worst, 1.0, "max_h |acvf_hat - acvf| / (5*SE)"))

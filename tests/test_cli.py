@@ -426,6 +426,12 @@ class TestVerify:
                            "--level", "quick")
         assert code == 0, out
 
+    def test_quick_gates_pass_near_unit_tail_rate(self, capsys):
+        # E[L] is about 5e5 at r = 0.999999, and its two routes differ by
+        # about 2 ulp of it, past an absolute 1e-10
+        code, out, _ = run(capsys, "verify", "--head", "0.2,0.3", "--r", "0.999999", "--M", "5")
+        assert code == 0, out
+
     def test_model_gates_pass_at_large_M(self, capsys, tmp_path):
         model_path = self._model_file(capsys, tmp_path, 10 ** 15)
         code, out, _ = run(capsys, "verify", "--model", model_path, "--head", "0.2,0.3", "--r", "0.6")

@@ -60,18 +60,18 @@ class TestSampleLifetime:
 class TestEquilibriumDelay:
     def test_geometric_delay_law(self, geometric_spec):
         # b is geometric on {0, 1, ...} with rate 1/2, so the mean is 1
-        draws = delay_law(geometric_spec).draw(10 ** 6, chain_rng(5, 0)).astype(float)
+        draws = delay_law(geometric_spec).map(chain_rng(5, 0).random(10 ** 6)).astype(float)
         assert abs(draws.mean() - 1.0) <= 3 * se_of_mean(draws)
 
     def test_mass_at_zero(self, p2_spec):
         n = 10 ** 6
-        draws = delay_law(p2_spec).draw(n, chain_rng(6, 0))
+        draws = delay_law(p2_spec).map(chain_rng(6, 0).random(n))
         want = 1 / 3.05
         se = math.sqrt(want * (1 - want) / n)
         assert abs(np.mean(draws == 0) - want) <= 3 * se
 
     def test_tail_ratio(self, p2_spec):
-        draws = delay_law(p2_spec).draw(10 ** 6, chain_rng(7, 0))
+        draws = delay_law(p2_spec).map(chain_rng(7, 0).random(10 ** 6))
         counts = np.bincount(draws)
         ratios = [counts[n + 1] / counts[n] for n in range(3, 7)]
         for ratio in ratios:
@@ -79,11 +79,11 @@ class TestEquilibriumDelay:
 
     def test_finite_support(self):
         spec = make_constant_hazard([0.9], 0.0)
-        draws = delay_law(spec).draw(10 ** 5, chain_rng(8, 0))
+        draws = delay_law(spec).map(chain_rng(8, 0).random(10 ** 5))
         assert draws.max() <= 1
 
     def test_single_draw(self, p2_spec):
-        assert delay_law(p2_spec).draw(1, chain_rng(9, 0))[0] >= 0
+        assert delay_law(p2_spec).map(chain_rng(9, 0).random(1))[0] >= 0
 
 
 class TestSimulateChain:
@@ -365,34 +365,44 @@ def edge_uniforms(spec):
     return u[(u >= 0.0) & (u < 1.0)]
 
 
+def bucket_words():
+    """Each guide bucket's first and last word and their neighbours."""
+    shift = 64 - simulate._GUIDE_BITS
+    first = np.arange(2 ** simulate._GUIDE_BITS, dtype=np.uint64) << np.uint64(shift)
+    last = first | np.uint64(2 ** shift - 1)
+    return np.concatenate([first, first + np.uint64(1), last - np.uint64(1), last])
+
+
+def words_near(edges):
+    """The lowest and highest word of the first uniform at or above each edge
+    in [0, 1), and of its neighbours."""
+    # the first uniform at or above each edge, as a 53-bit grid index
+    grid = np.ceil(edges * 2.0 ** 53)
+    grid = grid[(grid >= 0) & (grid < 2.0 ** 53)].astype(np.uint64)
+    near = np.concatenate([grid - np.uint64(1), grid, grid + np.uint64(1)])
+    near = near[near < np.uint64(2 ** 53)] << np.uint64(11)
+    return np.concatenate([near, near | np.uint64(2 ** 11 - 1)])
+
+
 def edge_words(spec):
     """Words at every edge of the guide tables: each bucket's first and last
     word and their neighbours, the words of every head cdf entry and of every
     integer crossing of the tail quotient, with their neighbours, and the
     largest words below 2**64."""
-    shift = 64 - simulate._GUIDE_BITS
-    first = np.arange(2 ** simulate._GUIDE_BITS, dtype=np.uint64) << np.uint64(shift)
-    last = first | np.uint64(2 ** shift - 1)
-    # the first uniform at or above each edge, as a 53-bit grid index
     mu = spec.mean()
     edges = [np.cumsum(spec.head), np.cumsum(spec.survivals(spec.p) / mu)]
     for law in (lifetime_law(spec), delay_law(spec)):
         if law.tail:  # 1 - u = tail * r**n for n = 0, 1, ... down to the smallest uniform gap
             n = np.arange(min(4000, int(40.0 / -law.log_r) + 2))
             edges.append(1.0 - law.tail * np.exp(n * law.log_r))
-    grid = np.ceil(np.concatenate(edges) * 2.0 ** 53)
-    grid = grid[(grid >= 0) & (grid < 2.0 ** 53)].astype(np.uint64)
-    near = np.concatenate([grid - np.uint64(1), grid, grid + np.uint64(1)])
-    near = near[near < np.uint64(2 ** 53)] << np.uint64(11)
     top = np.uint64(2 ** 64 - 1) - np.arange(4, dtype=np.uint64)
-    return np.concatenate([first, first + np.uint64(1), last - np.uint64(1), last,
-                           near, near | np.uint64(2 ** 11 - 1), top, top - np.uint64(2 ** 11)])
+    return np.concatenate([bucket_words(), words_near(np.concatenate(edges)), top, top - np.uint64(2 ** 11)])
 
 
 def guided(law, words):
     """The draws of ``words`` through ``law``'s guide table, as the kernel makes them."""
     out, index = np.empty(len(words), dtype=np.int64), np.empty(len(words), dtype=np.intp)
-    law.draw_words(law.guide(), words, index, out)
+    law.draw_words(words, index, out)
     return out
 
 
@@ -411,10 +421,8 @@ def guided(law, words):
 def test_draws_match_reference(spec, extra, extra_words):
     u = np.concatenate([edge_uniforms(spec), extra])
     n = len(u)
-    assert np.array_equal(lifetime_law(spec).draw(n, Uniforms(u)), ref_sample_lifetimes(spec, n, Uniforms(u)))
-    want = ref_sample_delays(spec, n, Uniforms(u))
-    assert np.array_equal(delay_law(spec).draw(n, Uniforms(u)), want)
-    assert np.array_equal(delay_law(spec).map(u), want)
+    assert np.array_equal(lifetime_law(spec).map(u), ref_sample_lifetimes(spec, n, Uniforms(u)))
+    assert np.array_equal(delay_law(spec).map(u), ref_sample_delays(spec, n, Uniforms(u)))
     # the guide tables give the map's draw of every word, at every edge
     words = np.concatenate([edge_words(spec), np.array(extra_words, dtype=np.uint64)])
     u = _uniforms(words)
@@ -481,10 +489,41 @@ def test_map_is_elementwise(head, r):
     block, index = words.reshape(7, 43), np.empty((7, 43), dtype=np.intp)
     for law in (lifetime_law(spec), delay_law(spec)):
         out = np.empty((7, 43), dtype=np.int64)
-        law.draw_words(law.guide(), block, index, out)
+        law.draw_words(block, index, out)
         assert np.array_equal(out, law.map(_uniforms(block)))
-        law.draw_words(law.guide(), block[:, -1], index[0, :7], out[:, 0])
+        law.draw_words(block[:, -1], index[0, :7], out[:, 0])
         assert np.array_equal(out[:, 0], law.map(_uniforms(block[:, -1])))
+
+
+@pytest.mark.parametrize("finite, r", [(True, 0.0), (False, 0.99)])
+def test_thousands_of_cuts(finite, r):
+    # a survival-table sized law, 4000 cuts with ties, maps through the same
+    # searchsorted and guide table as a short head
+    rng = np.random.default_rng(91)
+    head = 0.998 ** np.arange(4000) * rng.uniform(0.5, 1.5, 4000)
+    head[rng.integers(4000, size=40)] = 0.0
+    head *= (1.0 if finite else 0.9) / math.fsum(head)
+    law = simulate.DrawLaw.of(head, r, finite, 0)
+    cdf = np.cumsum(head)
+    assert len(law.cuts) >= 3999 and (np.diff(cdf) == 0.0).any()
+    u = np.concatenate([[0.0, np.nextafter(1.0, 0.0)], np.nextafter(cdf, 0.0), cdf, np.nextafter(cdf, 1.0)])
+    u = u[u < 1.0]
+    assert np.array_equal(law.map(u), ref_sample_head_tail(head, r, len(u), Uniforms(u), finite))
+    # every bucket's edge words, and the words at and beside every cut
+    words = np.concatenate([bucket_words(), words_near(cdf)])
+    assert (law.guide == simulate._MIXED).any() and (law.guide != simulate._MIXED).any()
+    assert np.array_equal(guided(law, words), law.map(_uniforms(words)))
+
+
+def test_guide_is_no_field(p2_spec):
+    # the table is built once per law, and equal laws stay equal once either has it
+    built, fresh = lifetime_law(p2_spec), lifetime_law(p2_spec)
+    assert built.guide is built.guide
+    assert built == fresh and hash(built) == hash(fresh) and repr(built) == repr(fresh)
+    assert fresh.guide is not built.guide and np.array_equal(fresh.guide, built.guide)
+    laws = ChainLaws.of(p2_spec)
+    assert laws.delay.guide.shape == (2 ** simulate._GUIDE_BITS,)
+    assert laws == ChainLaws.of(p2_spec) and hash(laws) == hash(ChainLaws.of(p2_spec))
 
 
 KEY_SEEDS = [0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 63, 2 ** 64 - 1, MC_SEED,

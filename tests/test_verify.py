@@ -24,7 +24,7 @@ from renewal_arma.verify import (
     verify_spec,
 )
 
-from conftest import exact_acvf, exact_variance
+from conftest import exact_acvf, exact_moments, exact_variance
 
 FULL_GATES_P2 = [
     "stationary_delayed_probs", "generating_function_identity", "acvf_identity",
@@ -45,20 +45,21 @@ def test_variance_limit_near_unit_tail_rate(head, r):
 
 def _near_unit_heads():
     """50 heads per tail rate: p = 1, 2, 3, 5, 10, ten each, Dirichlet weights
-    x U(0.5, 0.95), drawn from one stream for r = 0.99, then 0.999, then 0.9999."""
+    x U(0.5, 0.95), drawn from one stream for r = 0.99, then 0.999, 0.9999 and 0.999999."""
     rng = np.random.default_rng(0)
     return {r: [make_constant_hazard(rng.dirichlet(np.ones(p + 1))[:p] * rng.uniform(0.5, 0.95), r)
                 for p in (1, 2, 3, 5, 10) for _ in range(10)]
-            for r in (0.99, 0.999, 0.9999)}
+            for r in (0.99, 0.999, 0.9999, 0.999999)}
 
 
 NEAR_UNIT_HEADS = _near_unit_heads()
 
 
-@pytest.mark.parametrize("r", [0.99, 0.999, 0.9999])
+@pytest.mark.parametrize("r", [0.99, 0.999, 0.9999, 0.999999])
 def test_moment_routes_near_unit_tail_rate(r):
     # Var[L] reaches about 1e8 here and its ulp about 1e-8, so both variance
-    # gates hold only with bounds relative to Var[L]
+    # gates hold only with bounds relative to Var[L]; at r = 0.999999, E[L]
+    # reaches about 5e5 and mean_routes needs a bound relative to E[L]
     names = ("mean_routes", "variance_routes", "variance_limit")
     failed = [g.line() for spec in NEAR_UNIT_HEADS[r] for g in analytic_gates(spec, 5)
               if g.name in names and not g.passed]
@@ -79,6 +80,20 @@ def test_variance_gates_scale_with_var_l():
     assert gates["variance_routes"].threshold == 1e-10 * var_l
     assert gates["variance_limit"].threshold == 1e-6 * var_l
     assert gates["variance_routes"].passed and gates["variance_limit"].passed
+
+
+def test_mean_routes_scales_with_mean():
+    # the CLI case verify --head 0.2,0.3 --r 0.999999: E[L] = 5.0e5, whose ulp
+    # is 5.8e-11; both routes lie within about 2e-16 relative of the exact
+    # mean, and 1.2e-10 apart, past an absolute 1e-10
+    spec = make_constant_hazard((0.2, 0.3), 0.999999)
+    want = exact_moments(spec)[0]
+    assert 4.9e5 < want < 5.1e5
+    for got in (spec.mean(), spec.pgf().mean()):
+        assert abs(Fraction(got) - want) <= Fraction(1e-15) * want
+    gates = {g.name: g for g in analytic_gates(spec, 5)}
+    assert gates["mean_routes"].threshold == 1e-10 * spec.mean()
+    assert gates["mean_routes"].passed, gates["mean_routes"].line()
 
 
 def test_acvf_identity_scales_with_M():
