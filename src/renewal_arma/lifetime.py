@@ -164,20 +164,22 @@ def make_constant_hazard(head, r: float, *, allow_zero_f1: bool = False) -> Life
 class RationalPGF:
     """``F(z) = num(z) / den(z)`` in lowest terms with ``den(0) = 1`` and ``num(0) = 0``.
 
-    Everything else derives from two polynomials built from the pair.  The
-    survival numerator ``A = (den - num) / (1 - z)`` gives
-    ``A / den = sum_j P(L > j) z**j``, hence the moments, and ``A / A(0)`` is
-    the AR polynomial.  The spectral numerator
-    ``D = (den den* - num num*) / |1 - z|**2`` is what the MA part and its
-    scale are split from.  Each is built on its first call and kept, A in
-    ``_survival`` and D in ``_spectral``.  ``_factors`` keeps the parts of
-    the first successful :func:`.arma.factorize` that do not depend on M.
-    None of the three fields takes part in equality, hashing or
-    ``dataclasses.replace``.
+    Everything else derives from three polynomials built from the pair.
+    ``den - num`` is the denominator of the renewal series
+    ``den / (den - num) = 1 / (1 - F)``.  The survival numerator
+    ``A = (den - num) / (1 - z)`` gives ``A / den = sum_j P(L > j) z**j``,
+    hence the moments, and ``A / A(0)`` is the AR polynomial.  The spectral
+    numerator ``D = (den den* - num num*) / |1 - z|**2`` is what the MA part
+    and its scale are split from.  Each is built on its first call and kept,
+    den - num in ``_renewal``, A in ``_survival`` and D in ``_spectral``.
+    ``_factors`` keeps the parts of the first successful
+    :func:`.arma.factorize` that do not depend on M.  None of the four fields
+    takes part in equality, hashing or ``dataclasses.replace``.
     """
 
     num: Poly
     den: Poly
+    _renewal: Poly | None = field(default=None, init=False, repr=False, compare=False)
     _survival: Poly | None = field(default=None, init=False, repr=False, compare=False)
     _spectral: SymLaurent | None = field(default=None, init=False, repr=False, compare=False)
     _factors: tuple | None = field(default=None, init=False, repr=False, compare=False)
@@ -192,11 +194,17 @@ class RationalPGF:
         """Power-series coefficients ``P(L = 0), ..., P(L = terms - 1)`` of num/den."""
         return rational_series(self.num, self.den, terms)
 
+    def renewal_denominator(self) -> Poly:
+        """``den - num``, which vanishes at z = 1; built once and kept on the (immutable) pgf."""
+        if self._renewal is None:
+            object.__setattr__(self, "_renewal", self.den - self.num)
+        return self._renewal
+
     def survival_numerator(self) -> Poly:
         """``A = (den - num) / (1 - z)``, so that ``A / den = sum_j P(L > j) z**j``;
         built once and kept on the (immutable) pgf."""
         if self._survival is None:
-            object.__setattr__(self, "_survival", deflate_at_one(self.den - self.num))
+            object.__setattr__(self, "_survival", deflate_at_one(self.renewal_denominator()))
         return self._survival
 
     def spectral_numerator(self) -> SymLaurent:

@@ -8,14 +8,16 @@ the circle (Wilson's Newton iteration, no roots), and root finding for the
 causality report.
 
 All values are immutable after construction; every operation is a pure
-function of its inputs.
+function of its inputs.  A ``Poly`` keeps the rows that
+:func:`rational_series` builds over it as a denominator, outside equality,
+hashing and repr; they change no result.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -31,6 +33,7 @@ NEWTON_STEPS = 2
 POSITIVITY_GRID = 128  # circle points at which a spectral numerator must be positive
 WILSON_TOL = 1e-10  # relative step that factor_outside must reach
 WILSON_STEPS = 60
+SERIES_CALL_MACS = 4096  # multiply-adds that cost about one numpy call's overhead
 
 
 def _trim(coeffs) -> tuple[float, ...]:
@@ -65,6 +68,8 @@ class Poly:
     """
 
     coeffs: tuple[float, ...] = ()
+    # the rows of :func:`rational_series` over this denominator, kept from its longest expansion so far
+    _series_rows: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "coeffs", _trim(self.coeffs))
@@ -130,24 +135,54 @@ class SymLaurent:
 def rational_series(num: Poly, den: Poly, terms: int) -> np.ndarray:
     """First ``terms`` power-series coefficients of ``num(z) / den(z)``; needs ``den(0) != 0``.
 
-    They solve ``T(den) y = num``, T(den) being lower-triangular banded Toeplitz
-    with ``den[i]`` on its i-th subdiagonal: a forward substitution in
-    O(terms * deg den), done by LAPACK's banded triangular solve.  scipy is
-    imported here, at the first call: ``simulate`` and ``markov`` never expand
-    a rational series, so they never load it.
-    """
-    from scipy.linalg import lapack  # deferred: importing scipy.linalg takes about 0.3 s
+    The coefficients obey y_n = (num_n - sum_{j>=1} den_j y_{n-j}) / den_0, a
+    forward substitution, done here in blocks of matrix products.  With
+    q = deg den, row i of ``O`` gives y_i from (y_{1-q}, ..., y_0) when num
+    adds nothing after time 0: rows 1-q..0 are the identity and row 1 is
+    -den[q..1] / den_0.  As (y_{m-q+1}, ..., y_m) = O[m-q+1..m] (y_{1-q}, ..., y_0),
+    rows m+1..2m are O[1..m] @ O[m-q+1..m], so B rows take log2(B) products.
+    Column q - 1 of rows 0..B is the series of den_0 / den, and num times it
+    gives y_0..y_B.  Each later block of B terms is O[1..B] times the q terms
+    before it, one product, since B >= deg num and B >= q - 1.  ``den`` keeps
+    the rows of its longest expansion so far, and a shorter one reads their
+    prefix, which the doubling builds with the same products; so a result
+    does not depend on what was expanded before.
 
+    B is the power of two near sqrt(SERIES_CALL_MACS * terms) / q, which
+    balances the B q**2 multiply-adds of the doubling against the one numpy
+    call of each later block: about terms * q + B q**2 multiply-adds in
+    log2(B) + terms / B numpy calls.  The blocks apply rounded B-step products
+    where a term-by-term substitution applies den itself, so with clustered
+    roots of den near the unit circle they lose more accuracy than it does.
+    """
     if terms < 0:
         raise ValueError("number of terms must be nonnegative")
     if den.degree < 0 or den.coeffs[0] == 0.0:
         raise ValueError("denominator must have a nonzero constant term")
-    band = np.asarray(den.coeffs[:terms])
-    # lower band storage ab[i, j] = T[j + i, j] = den[i], as a view the solver copies once
-    ab = np.broadcast_to(band[:, None], (band.size, terms))
-    rhs = np.zeros(terms)
-    rhs[: min(terms, len(num.coeffs))] = num.coeffs[:terms]
-    y, _ = lapack.dtbtrs(ab, rhs, uplo="L")  # nonzero info only for a zero diagonal, excluded above
+    d = den.coeffs if den.degree else den.coeffs + (0.0,)  # a constant den runs as den_0 + 0 z
+    q = len(d) - 1
+    k = min(terms, len(num.coeffs))
+    want = max(k - 1, q - 1, math.isqrt(SERIES_CALL_MACS * terms) // q)
+    B = 1 << (max(min(want, terms - 1), 1) - 1).bit_length()
+    O = den._series_rows
+    if O is None or len(O) < q + B:
+        O = np.zeros((q + B, q))
+        O.flat[: q * q : q + 1] = 1.0  # rows 1-q..0: the identity
+        np.divide(d[:0:-1], -d[0], out=O[q])
+        m = 1
+        while m < B:
+            O[q : q + m].dot(O[m : m + q], out=O[q + m : q + 2 * m])
+            m *= 2
+        O.flags.writeable = False
+        object.__setattr__(den, "_series_rows", O)
+    F = min(terms, B + 1)
+    y = np.empty(terms)
+    # num times the series of den_0 / den, column q - 1 from row 0: np.convolve's product, without its copies
+    head = np.correlate(O[q - 1 : q + B, q - 1], num.coeffs[:k][::-1] or (0.0,), "full")
+    np.divide(head[:F], d[0], out=y[:F])
+    for n in range(F, terms, B):
+        w = min(B, terms - n)
+        O[q : q + w].dot(y[n - q : n], out=y[n : n + w])
     return y
 
 

@@ -21,7 +21,7 @@ def renewal_probs(pgf: RationalPGF, N: int) -> np.ndarray:
     """
     if N < 0:
         raise ValueError("horizon must be nonnegative")
-    return rational_series(pgf.den, pgf.den - pgf.num, N + 1)
+    return rational_series(pgf.den, pgf.renewal_denominator(), N + 1)
 
 
 def delayed_probs(pgf: RationalPGF, N: int) -> np.ndarray:

@@ -189,8 +189,9 @@ class DrawLaw:
     it, which is ``searchsorted(cdf, u, side="right")``.  A uniform past the
     head mass lands at ``len(head) + floor(log(residual) / log(r))`` with
     ``residual = (1 - u) / tail``, which is exact (never truncated).  Each
-    draw depends on its own uniform only.  The law's :attr:`guide` table is
-    built on first use and is no field, so equal laws compare and hash equal.
+    draw depends on its own uniform only.  The law's :attr:`guide` table and
+    :attr:`cut_array` are built on first use and are no fields, so equal laws
+    compare and hash equal.
     """
 
     cuts: tuple[float, ...]
@@ -215,7 +216,7 @@ class DrawLaw:
         """The draw of each uniform in ``u``, element by element, in the shape of ``u``."""
         # the offset plus the number of cuts at or below u: the cuts are a
         # cumulative sum of nonnegative terms, so they are sorted
-        hits = np.searchsorted(self.cuts, u, side="right")
+        hits = np.searchsorted(self.cut_array, u, side="right")
         hits += self.offset
         if self.tail == 0.0:
             return hits
@@ -234,6 +235,13 @@ class DrawLaw:
         np.log(x, out=x)
         x /= self.log_r
         return x
+
+    @cached_property
+    def cut_array(self) -> np.ndarray:
+        """``cuts`` as a read-only float array, so that :meth:`map` does not convert the tuple per call."""
+        cuts = np.array(self.cuts, dtype=np.float64)
+        cuts.flags.writeable = False
+        return cuts
 
     @cached_property
     def guide(self) -> np.ndarray:

@@ -158,7 +158,7 @@ def analytic_gates(spec: LifetimeSpec, M: int) -> list[GateResult]:
                      "exact generating-function limit D(1)/Q(1)^2 vs Var[L]"))
 
     deflate_check = (Poly((1.0, -1.0)) * phi_poly(model)).scale(pgf.den.coeffs[0])
-    residual = max(map(abs, (deflate_check - (pgf.den - pgf.num)).coeffs), default=0.0)
+    residual = max(map(abs, (deflate_check - pgf.renewal_denominator()).coeffs), default=0.0)
     out.append(_gate("deflation_reconstruction", residual, 1e-12,
                      "(1-z) * AR polynomial reproduces den - num"))
 

@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import json
 import os
@@ -563,9 +564,26 @@ class TestStartup:
     @pytest.mark.parametrize("argv", [
         ("verify", "--head", "0.2,0.3", "--r", "0.6", "--level", "quick"),
         ("factorize", "--head", "0.2,0.3", "--r", "0.6", "--M", "5"),
+        ("verify", "--head", "0.2,0.3", "--r", "0.6", "--level", "full"),
     ])
-    def test_no_command_loads_scipy_stats(self, argv):
-        code, modules = loaded_scipy(*argv)
-        assert code == 0
-        assert "scipy.linalg" in modules  # the rational-series kernel's one LAPACK routine
-        assert not [m for m in modules if m == "scipy.stats" or m.startswith("scipy.stats.")]
+    def test_analytic_commands_load_no_scipy(self, argv):
+        # the rational series these commands expand is numpy's; scipy is a test dependency only
+        assert loaded_scipy(*argv) == (0, [])
+
+    def test_no_source_imports_scipy(self):
+        # every import in the package names no scipy module: import statements anywhere,
+        # lazy ones inside functions included, and __import__ / importlib.import_module of a literal name
+        found = []
+        for path in sorted((SRC / "renewal_arma").glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(), str(path))):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom) and not node.level:
+                    names = [node.module or ""]
+                elif (isinstance(node, ast.Call) and node.args and isinstance(node.args[0], ast.Constant)
+                      and getattr(node.func, "id", getattr(node.func, "attr", None)) in ("__import__", "import_module")):
+                    names = [str(node.args[0].value)]
+                else:
+                    continue
+                found += [f"{path.name}:{node.lineno} {n}" for n in names if n.split(".")[0] == "scipy"]
+        assert found == []

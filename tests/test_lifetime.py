@@ -214,10 +214,10 @@ class TestPgf:
         # built on the first call and kept, outside equality and replace
         pgf = p2_spec.pgf()
         a = pgf.survival_numerator()
-        assert pgf.survival_numerator() is a
-        assert a == deflate_at_one(pgf.den - pgf.num)
+        assert pgf.survival_numerator() is a and pgf.renewal_denominator() is pgf.renewal_denominator()
+        assert a == deflate_at_one(pgf.den - pgf.num) and pgf.renewal_denominator() == pgf.den - pgf.num
         assert pgf == dataclasses.replace(pgf)
-        assert dataclasses.replace(pgf)._survival is None
+        assert dataclasses.replace(pgf)._survival is None and dataclasses.replace(pgf)._renewal is None
 
 
 class TestMakeRationalPgf:

@@ -518,7 +518,8 @@ def test_thousands_of_cuts(finite, r):
 def test_guide_is_no_field(p2_spec):
     # the table is built once per law, and equal laws stay equal once either has it
     built, fresh = lifetime_law(p2_spec), lifetime_law(p2_spec)
-    assert built.guide is built.guide
+    assert built.guide is built.guide and built.cut_array is built.cut_array
+    assert built.cut_array.tolist() == list(built.cuts) and not built.cut_array.flags.writeable
     assert built == fresh and hash(built) == hash(fresh) and repr(built) == repr(fresh)
     assert fresh.guide is not built.guide and np.array_equal(fresh.guide, built.guide)
     laws = ChainLaws.of(p2_spec)
