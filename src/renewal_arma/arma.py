@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import FactorizationError, SingularEvaluationError, ValidationError
 from .lifetime import RationalPGF
-from .polynomials import TOL_CIRCLE, Poly, factor_outside, rational_series, roots
+from .polynomials import TOL_CIRCLE, Poly, factor_outside, rational_series, roots, values
 
 K_CROSS_CHECK_RTOL = 1e-9
 COMMON_ROOT_TOL = 1e-8
@@ -158,7 +158,8 @@ def arma_acvf(model: ArmaModel, hmax: int) -> np.ndarray:
     psi(z) = theta(z)/phi(z) is expanded by :func:`rational_series` until the
     geometric tail bound ``rho**T / (1 - rho) < 1e-14`` holds, with rho the
     largest reciprocal modulus of the AR roots; then
-    gamma(h) = sigma2 * sum_j psi_j psi_{j+h}.
+    gamma(h) = sigma2 * sum_j psi_j psi_{j+h}, all lags from one correlation
+    of psi, zero-padded by hmax, with psi.
     """
     if hmax < 0:
         raise ValueError("hmax must be nonnegative")
@@ -171,22 +172,24 @@ def arma_acvf(model: ArmaModel, hmax: int) -> np.ndarray:
         T = max(T, math.ceil(math.log(1e-14 * (1.0 - rho)) / math.log(rho)) + 1)
     length = T + hmax
     psi = rational_series(theta_poly(model), phi_poly(model), length)
-    return model.sigma2 * np.array([np.dot(psi[: length - h], psi[h:]) for h in range(hmax + 1)])
+    return model.sigma2 * np.correlate(np.concatenate((psi, np.zeros(hmax))), psi, "valid")
 
 
 def gen_eval_arma(model: ArmaModel, z):
     """``sigma2 * theta(z) theta(1/z) / (phi(z) phi(1/z))`` at ``z``, a point
-    or an array of points; one singular point rejects the whole array."""
+    or an array of points; one singular point rejects the whole array.
+
+    phi and theta at z and at 1/z come from one power table over both."""
     shape = np.shape(z)
     # a point is evaluated as a one-point array, so it gets the bits it would get inside an array
     z = np.asarray(z, dtype=complex).reshape(-1)
     if np.any(z == 0):
         raise SingularEvaluationError("singular evaluation point")
-    ar, ma = phi_poly(model), theta_poly(model)
-    a, b = ar(z), ar(1.0 / z)
-    if np.any(np.abs(a) < 1e-12) or np.any(np.abs(b) < 1e-12):
+    ar, ma = values((phi_poly(model), theta_poly(model)), np.concatenate((z, 1.0 / z)))
+    if np.any(np.abs(ar) < 1e-12):
         raise SingularEvaluationError("pole of the generating function")
-    return (model.sigma2 * ma(z) * ma(1.0 / z) / (a * b)).reshape(shape)[()]
+    m = z.size
+    return (model.sigma2 * ma[:m] * ma[m:] / (ar[:m] * ar[m:])).reshape(shape)[()]
 
 
 @dataclass(frozen=True)
@@ -207,14 +210,19 @@ def check_causal_invertible(model: ArmaModel) -> CausalityReport:
     (immutable) model, so later calls for the same model do not root again."""
     if model._causality is not None:
         return model._causality
-    ar_roots, ma_roots = (tuple(roots(p)) if p.degree >= 1 else ()
-                          for p in (phi_poly(model), theta_poly(model)))
-    ar_mod, ma_mod = (tuple(float(abs(z)) for z in zs) for zs in (ar_roots, ma_roots))
-    gap = min((abs(a - b) for a in ar_roots for b in ma_roots), default=math.inf)
-    report = CausalityReport(ar_roots, ma_roots, ar_mod, ma_mod, gap,
-                             passes=all(m > 1.0 + TOL_CIRCLE for m in ar_mod + ma_mod))
+    ar_roots, ma_roots = (roots(p) if p.degree >= 1 else [] for p in (phi_poly(model), theta_poly(model)))
+    moduli = np.abs(np.array(ar_roots + ma_roots, dtype=complex)).tolist()
+    p = len(ar_roots)
+    report = CausalityReport(tuple(ar_roots), tuple(ma_roots), tuple(moduli[:p]), tuple(moduli[p:]),
+                             _root_gaps(ar_roots, ma_roots).min(initial=math.inf).item(),
+                             passes=all(m > 1.0 + TOL_CIRCLE for m in moduli))
     object.__setattr__(model, "_causality", report)
     return report
+
+
+def _root_gaps(ar_roots, ma_roots) -> np.ndarray:
+    """``|a - b|`` for every AR root a (rows) and MA root b (columns)."""
+    return np.abs(np.subtract.outer(np.array(ar_roots, dtype=complex), ma_roots))
 
 
 def validate_model(model: ArmaModel) -> None:
@@ -227,7 +235,8 @@ def validate_model(model: ArmaModel) -> None:
                        for z in zs if not abs(z) > 1.0 + TOL_CIRCLE)
         raise FactorizationError(f"{part} root {z} not outside the unit circle")
     if report.min_root_gap < COMMON_ROOT_TOL:
-        a = next(a for a in report.ar_roots for b in report.ma_roots if abs(a - b) == report.min_root_gap)
+        gaps = _root_gaps(report.ar_roots, report.ma_roots)
+        a = report.ar_roots[int(np.argmin(gaps)) // gaps.shape[1]]
         raise FactorizationError(f"AR and MA parts share the root {a}")
 
 

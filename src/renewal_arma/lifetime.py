@@ -29,6 +29,7 @@ from .polynomials import (
     rational_series,
     roots,
     sym_product_diff,
+    values,
 )
 
 SERIES_CHECK_TERMS = 200
@@ -121,9 +122,10 @@ def make_constant_hazard(head, r: float, *, allow_zero_f1: bool = False) -> Life
     """Validated lifetime with head probabilities ``f_1..f_p`` and tail rate ``r``.
 
     Raises :class:`ValidationError` on a mass or range violation and
-    :class:`LatticeError` if the support sits on a proper sublattice (such a
-    lifetime cannot arise from any aperiodic renewal structure and the
-    factorization theory excludes it).
+    :class:`LatticeError` if the support sits on a shifted sublattice
+    ``a + d Z`` with ``d != 1``, that is, if the gcd of the differences of the
+    support is not 1 (one point included).  Such a lifetime cannot arise from
+    any aperiodic renewal structure and the factorization theory excludes it.
     """
     head = tuple(float(f) for f in head)
     r = float(r)
@@ -155,7 +157,8 @@ def make_constant_hazard(head, r: float, *, allow_zero_f1: bool = False) -> Life
             support.add(spec.p + 2)  # consecutive support makes the gcd 1
     if not support:
         raise ValidationError("lifetime has no support")
-    if math.gcd(*support) != 1:
+    low = min(support)
+    if math.gcd(*(s - low for s in support)) != 1:  # gcd() is 0 for one point
         raise LatticeError(f"lifetime support {sorted(support)} lies on a sublattice")
     return spec
 
@@ -185,10 +188,15 @@ class RationalPGF:
     _factors: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __call__(self, z):
-        den = self.den(z)
+        """F at a point, or at each point of an array, where one power table
+        serves num and den (see :func:`.polynomials.values`)."""
+        if isinstance(z, np.ndarray) and z.ndim:
+            num, den = values((self.num, self.den), z)
+        else:
+            num, den = self.num(z), self.den(z)
         if np.any(den == 0):  # numpy division returns inf here rather than raising
             raise SingularEvaluationError("evaluation at a pole of the generating function")
-        return self.num(z) / den
+        return num / den
 
     def series(self, terms: int) -> np.ndarray:
         """Power-series coefficients ``P(L = 0), ..., P(L = terms - 1)`` of num/den."""

@@ -7,6 +7,14 @@ symmetric Laurent polynomial that is positive on the unit circle into
 the circle (Wilson's Newton iteration, no roots), and root finding for the
 causality report.
 
+Polynomials are evaluated at an array of points from one power table: row j
+holds ``z_j**i`` in column i, made by one ``np.multiply.accumulate``, and
+every polynomial wanted at those points is a product with that one table.
+Each point's values are one product of its own row of the table, so a point
+gets the same bits alone as inside an array.  A scalar (the z = 1
+evaluations behind the moments and deflation) is evaluated by Horner's rule
+in its own arithmetic.
+
 All values are immutable after construction; every operation is a pure
 function of its inputs.  A ``Poly`` keeps the rows that
 :func:`rational_series` builds over it as a denominator, outside equality,
@@ -37,10 +45,10 @@ SERIES_CALL_MACS = 4096  # multiply-adds that cost about one numpy call's overhe
 
 
 def _trim(coeffs) -> tuple[float, ...]:
-    c = [float(x) for x in coeffs]
-    if not all(math.isfinite(x) for x in c):
+    c = tuple(map(float, coeffs))
+    if not all(map(math.isfinite, c)):
         raise ValueError("coefficients must be finite real numbers")
-    top = max((abs(x) for x in c), default=0.0)
+    top = max(map(abs, c), default=0.0)
     if top == 0.0:
         return ()
     # Compare ratios, not ``TRIM_REL * top``: for a subnormal ``top`` that
@@ -48,14 +56,53 @@ def _trim(coeffs) -> tuple[float, ...]:
     end = len(c)
     while end > 0 and abs(c[end - 1]) / top < TRIM_REL:
         end -= 1
-    return tuple(c[:end])
+    return c[:end]
 
 
 def _horner(coeffs, z):
+    """Value at the scalar ``z``, in its own (float or complex) arithmetic."""
     acc = z * 0
     for c in reversed(coeffs):
         acc = acc * z + c
     return acc
+
+
+def _powers(z: np.ndarray, n: int) -> np.ndarray:
+    """``(len(z), n)`` table whose row j holds ``z[j]**i`` in column i, for a
+    1-d ``z``; one ``np.multiply.accumulate`` along the rows."""
+    t = np.empty((z.size, n), dtype=np.result_type(z.dtype, np.float64))
+    t[:, :1] = 1.0
+    t[:, 1:] = z[:, None]
+    return np.multiply.accumulate(t, axis=1, out=t)
+
+
+def _row_products(t: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """``t[j] @ c`` for each row j of a power table, shape ``(len(t), c.shape[1])``.
+
+    Each row is its own product in a stacked ``np.matmul``: ``c.T`` times the
+    row's real (and imaginary) parts as an ``(n, 1)`` (or ``(n, 2)``) matrix.
+    Its shape does not depend on the number of rows, so a row gets the same
+    bits alone as inside a table; a single ``t @ c`` would not promise that,
+    since BLAS picks its kernel, and so its order of sums, by the number of
+    rows.  Real coefficients never meet a complex BLAS kernel this way.
+    """
+    parts = t.view(float).reshape(t.shape + (t.itemsize // 8,))
+    return np.matmul(c.T, parts).view(t.dtype)[..., 0]
+
+
+def values(polys, z: np.ndarray) -> np.ndarray:
+    """Values of each of ``polys`` at the array ``z``, shape ``(len(polys),) + z.shape``.
+
+    One power table over the points serves every polynomial, and each point's
+    values are one product of its own row (:func:`_row_products`), so a point
+    gets the same bits alone as inside an array.
+    """
+    z = np.asarray(z)
+    n = max(len(p.coeffs) for p in polys)
+    c = np.zeros((n, len(polys)))
+    for j, p in enumerate(polys):
+        c[: len(p.coeffs), j] = p.coeffs
+    return _row_products(_powers(z.reshape(-1), n), c).T.reshape((len(polys),) + z.shape)
 
 
 @dataclass(frozen=True)
@@ -79,7 +126,13 @@ class Poly:
         return len(self.coeffs) - 1
 
     def __call__(self, z):
-        """Evaluate at a real or complex point by Horner's rule."""
+        """Value at a real or complex point, or at each point of an array.
+
+        An array is evaluated from one power table by :func:`values`, so each
+        point gets the bits it would get alone; a scalar by Horner's rule.
+        """
+        if isinstance(z, np.ndarray) and z.ndim:
+            return values((self,), z)[0]
         return _horner(self.coeffs, z)
 
     def __sub__(self, other: "Poly") -> "Poly":
@@ -193,7 +246,9 @@ def roots(p: Poly) -> list[complex]:
     conjugate pair exactly conjugate, upper member first.  The real ones and
     the upper members are polished together by ``NEWTON_STEPS`` Newton steps;
     the result is the real roots, then each pair ``(a, conj(a))``.  Raises if
-    any residual exceeds ``TOL_RESID * sum|c| * max(1, |root|)**degree``.
+    any residual exceeds ``TOL_RESID * sum|c| * max(1, |root|)**degree``; the
+    residuals are those of the polish's last iterate, and a lower member takes
+    the residual of its upper one, whose exact conjugate it is.
     """
     if p.degree < 1:
         raise ValueError("no roots of a constant")
@@ -204,11 +259,11 @@ def roots(p: Poly) -> list[complex]:
     raw = np.atleast_1d(np.linalg.eigvals(comp)).astype(complex)
     top = raw[raw.imag >= 0.0]
     real = top.imag == 0.0
-    z = _newton_polish(p.coeffs, p.derivative().coeffs, top)
+    z, fz = _newton_polish(c, top)
     upper = z[~real]
     out = np.concatenate([z[real], np.stack([upper, upper.conj()], axis=1).ravel()])
     with np.errstate(over="ignore", invalid="ignore"):
-        resid = np.abs(_horner(p.coeffs, out))
+        resid = np.abs(np.concatenate([fz[real], np.repeat(fz[~real], 2)]))
         bound = TOL_RESID * np.sum(np.abs(c)) * np.maximum(1.0, np.abs(out)) ** n
         excess = np.where(resid > bound, resid / bound, 0.0)
     if excess.any():
@@ -220,19 +275,26 @@ def roots(p: Poly) -> list[complex]:
     return out.tolist()
 
 
-def _newton_polish(coeffs, dcoeffs, z: np.ndarray) -> np.ndarray:
+def _newton_polish(c: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``NEWTON_STEPS`` Newton steps from the roots ``z`` of the polynomial with
+    ascending coefficients ``c``; returns the roots and their residuals f(z)."""
     # Near a multiple root both f and f' are rounding-level small and their
     # ratio is noise, so a step is kept only where it shrinks the residual;
     # a root whose step was refused stays put, so later steps refuse it too.
-    fz = _horner(coeffs, z)
+    # Each iterate's f and f' are one product with its power table.
+    n = c.size
+    fd = np.zeros((n, 2))
+    fd[:, 0] = c
+    fd[:-1, 1] = c[1:] * np.arange(1, n)
     with np.errstate(all="ignore"):  # a zero f' gives a non-finite step, refused below
+        v = _row_products(_powers(z, n), fd)  # f and f' at each root
         for _ in range(NEWTON_STEPS):
-            cand = z - fz / _horner(dcoeffs, z)
-            fcand = _horner(coeffs, cand)
-            shrank = np.abs(fcand) < np.abs(fz)
+            cand = z - v[:, 0] / v[:, 1]
+            w = _row_products(_powers(cand, n), fd)
+            shrank = np.abs(w[:, 0]) < np.abs(v[:, 0])
             z = np.where(shrank, cand, z)
-            fz = np.where(shrank, fcand, fz)
-    return z
+            v = np.where(shrank[:, None], w, v)
+    return z, v[:, 0]
 
 
 def deflate_at_one(p: Poly) -> Poly:
@@ -334,7 +396,8 @@ def common_root(P: Poly, Q: Poly) -> bool:
     """
     for a, b in ((P, Q), (Q, P)):
         if a.degree >= 1:
-            z = np.asarray(roots(a))
-            if np.any(np.abs(_horner(b.coeffs, z)) <= TRIM_REL * _horner(np.abs(b.coeffs), np.abs(z))):
+            t = _powers(np.asarray(roots(a)), len(b.coeffs))  # |z**i| serves for |z|**i
+            c = np.reshape(b.coeffs, (-1, 1))
+            if np.any(np.abs(_row_products(t, c)[:, 0]) <= TRIM_REL * (np.abs(t) @ np.abs(c[:, 0]))):
                 return True
     return False

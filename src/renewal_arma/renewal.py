@@ -47,7 +47,8 @@ def gen_eval_renewal(pgf: RationalPGF, M: int, z):
     point or an array of points.
 
     ``(M/mu) * (1 - F(z)F(1/z)) / ((1 - F(z))(1 - F(1/z)))`` with F = pgf and
-    mu = ``pgf.mean()``.
+    mu = ``pgf.mean()``.  F at z and at 1/z is one call of the pgf on both,
+    so one power table serves num and den at every point.
     The point z = 1 is a removable singularity and is rejected, as are z = 0
     and any pole of F; one such point rejects the whole array.
     """
@@ -56,8 +57,8 @@ def gen_eval_renewal(pgf: RationalPGF, M: int, z):
     z = np.asarray(z, dtype=complex).reshape(-1)
     if np.any(z == 0) or np.any(np.abs(z - 1.0) < 1e-12):
         raise SingularEvaluationError("singular evaluation point")
-    fz = pgf(z)
-    fw = pgf(1.0 / z)
-    if np.any(np.abs(1.0 - fz) < 1e-14) or np.any(np.abs(1.0 - fw) < 1e-14):
+    f = pgf(np.concatenate((z, 1.0 / z)))
+    if np.any(np.abs(1.0 - f) < 1e-14):
         raise SingularEvaluationError("singular evaluation point")
+    fz, fw = f[: z.size], f[z.size :]
     return ((M / pgf.mean()) * (1.0 - fz * fw) / ((1.0 - fz) * (1.0 - fw))).reshape(shape)[()]

@@ -243,6 +243,18 @@ class TestGenEvalArma:
             points = np.array([gen_eval_arma(model, z) for z in grid])
             assert np.max(np.abs(gen_eval_arma(model, grid) - points) / np.abs(points)) <= 1e-15
 
+    @pytest.mark.parametrize("p", [1, 2, 5, 10, 30])
+    def test_point_alone_same_bits(self, p):
+        # phi and theta of order p and p - 1 with every root outside the circle
+        rng = np.random.default_rng(p)
+        phi = tuple(0.9 * rng.dirichlet(np.ones(p + 1))[:p])
+        theta = tuple(0.5 * rng.dirichlet(np.ones(p))[: p - 1])
+        model = ArmaModel(phi=phi, theta=theta, k=0.7, M=3, mu=2.5)
+        grid = unit_circle_grid()
+        for z in (grid, 0.5 * grid, 2.0 * grid):
+            points = np.array([gen_eval_arma(model, w) for w in z])
+            assert points.tobytes() == gen_eval_arma(model, z).tobytes()
+
     @pytest.mark.parametrize("where", [0, 31, 62])
     def test_one_singular_point_rejects_array(self, p2_spec, where):
         model = factorize(p2_spec.pgf(), 5)

@@ -67,6 +67,13 @@ class TestFactorize:
         assert code == 3
         assert "sublattice" in err
 
+    @pytest.mark.parametrize("command", ["factorize", "verify"])
+    def test_shifted_lattice_exit_code(self, capsys, command):
+        # support {1, 3}: gcd 1, but its difference 2 puts it on 1 + 2Z
+        code, out, err = run(capsys, command, "--head", "0.4,0,0.6", "--r", "0")
+        assert code == 3
+        assert "sublattice" in err and not out
+
     def test_mass_violation_exit_code(self, capsys):
         code, _, err = run(capsys, "factorize", "--head", "0.9,0.8", "--r", "0.1")
         assert code == 3

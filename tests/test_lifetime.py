@@ -68,6 +68,15 @@ class TestMakeConstantHazard:
         with pytest.raises(LatticeError):
             make_constant_hazard([0.0, 1.0], 0.0, allow_zero_f1=True)
 
+    def test_shifted_lattice_rejected(self):
+        # support {1, 3} has gcd 1, but the theorem needs the gcd of its differences
+        with pytest.raises(LatticeError, match=r"\[1, 3\]"):
+            make_constant_hazard([0.4, 0.0, 0.6], 0.0)
+
+    def test_one_point_support_is_lattice(self):
+        with pytest.raises(LatticeError, match=r"\[3\]"):
+            make_constant_hazard([0.0, 0.0, 1.0], 0.0, allow_zero_f1=True)
+
     def test_degenerate_unit_lifetime_rejected(self):
         with pytest.raises(ValidationError):
             make_constant_hazard([], 0.0)

@@ -147,6 +147,14 @@ class TestGenEvalRenewal:
             points = np.array([gen_eval_renewal(pgf, 3, z) for z in grid])
             assert np.max(np.abs(gen_eval_renewal(pgf, 3, grid) - points) / np.abs(points)) <= 1e-15
 
+    @pytest.mark.parametrize("p", [1, 2, 5, 10, 30])
+    def test_point_alone_same_bits(self, p):
+        spec = dirichlet_specs(p, ps=(p,), per_p=1)[0]
+        grid = unit_circle_grid()
+        for z in (grid, 0.5 * grid, 1.5 * grid):
+            points = np.array([gen_eval_renewal(spec.pgf(), 3, w) for w in z])
+            assert points.tobytes() == gen_eval_renewal(spec.pgf(), 3, z).tobytes()
+
     @pytest.mark.parametrize("bad", [0.0, 1.0, 2.0])
     @pytest.mark.parametrize("where", [0, 31, 62])
     def test_one_singular_point_rejects_array(self, bad, where):
