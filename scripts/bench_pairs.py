@@ -1,14 +1,18 @@
 #!/usr/bin/env python3
-"""Alternated parent/change runs of one benchmark workload.
+"""Alternated parent/change runs of benchmark workloads.
 
-    python3 scripts/bench_pairs.py --parent DIR --workload NAME [--pairs N] [--seconds S]
+    python3 scripts/bench_pairs.py --parent DIR [--workload NAME ...] [--pairs N] [--seconds S]
 
 Runs ``perfbench/run.py`` in the parent checkout DIR and in this checkout,
-one after the other, N times.  The side that runs first alternates from
+one after the other, N times for each workload.  ``--workload`` may be
+given more than once; without it every workload of ``BENCHMARK.json`` runs.
+The workloads are interleaved within each pair, so that a slow phase of the
+machine falls on all of them.  The side that runs first alternates from
 pair to pair, and both runs of pair i take the seed i.  Every pair's
-end-to-end metrics are printed, then, for each metric, both medians, their
-ratio (change / parent), both sides' quartiles and how many pairs the change
-won; ties count for neither side.  Below ``setup_s`` come its two parts, read
+end-to-end metrics are printed (tagged with the workload when there are
+several), then, per workload and for each metric, both medians, their ratio
+(change / parent), both sides' quartiles and how many pairs the change won;
+ties count for neither side.  Below ``setup_s`` come its two parts, read
 from each run's stderr summary: ``import_s``, the seconds spent importing,
 and ``round_s``, the median set-up round, so that a change in ``setup_s``
 can be put down to one of them.  The metrics, their units and which
@@ -68,7 +72,9 @@ def main(argv=None) -> int:
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--parent", type=Path, required=True, help="root of the parent commit's checkout")
-    ap.add_argument("--workload", required=True, choices=[w["name"] for w in bench["workloads"]])
+    names = [w["name"] for w in bench["workloads"]]
+    ap.add_argument("--workload", action="append", choices=names,
+                    help="a workload to run; repeat for several (default: all)")
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seconds", type=float, default=bench["run_seconds"])
     args = ap.parse_args(argv)
@@ -76,33 +82,47 @@ def main(argv=None) -> int:
         ap.error("--pairs and --seconds must be positive")
     if not (args.parent / "perfbench" / "run.py").is_file():
         ap.error(f"no perfbench/run.py under {args.parent}")
+    workloads = list(dict.fromkeys(args.workload or names))
     metrics = bench["end_to_end"]
 
     sides = {"parent": args.parent.resolve(), "change": ROOT}
-    runs = {"parent": [], "change": []}
+    runs = {w: {"parent": [], "change": []} for w in workloads}
     bad = []
     for i in range(args.pairs):
         seed = i + 1
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-        for side in order:
-            result = run_once(sides[side], args.workload, seed, args.seconds)
-            runs[side].append(result)
-            if not result.get("correct"):
-                bad.append(f"pair {seed} {side}: {result.get('error', 'incorrect output')}")
-        cells = []
-        for m in metrics:
-            got = [runs[side][-1].get("metrics", {}).get(m["name"], {}).get("value") for side in sides]
-            cells.append(f"{m['name']} " + " / ".join("-" if v is None else f"{v:.4g}" for v in got))
-        print(f"pair {seed} ({order[0]} first; parent / change): " + ", ".join(cells))
+        for workload in workloads:
+            tag = f" {workload}" if len(workloads) > 1 else ""
+            for side in order:
+                result = run_once(sides[side], workload, seed, args.seconds)
+                runs[workload][side].append(result)
+                if not result.get("correct"):
+                    bad.append(f"pair {seed} {side}{tag}: {result.get('error', 'incorrect output')}")
+            cells = []
+            for m in metrics:
+                got = [runs[workload][side][-1].get("metrics", {}).get(m["name"], {}).get("value") for side in sides]
+                cells.append(f"{m['name']} " + " / ".join("-" if v is None else f"{v:.4g}" for v in got))
+            print(f"pair {seed}{tag} ({order[0]} first; parent / change): " + ", ".join(cells))
 
-    print(f"\n{args.workload}, {args.pairs} pairs of {args.seconds:g} s")
+    for workload in workloads:
+        summarize(workload, runs[workload], metrics, args.pairs, args.seconds)
+    for line in bad:
+        print(f"bench_pairs: {line}", file=sys.stderr)
+    return 1 if bad else 0
+
+
+def summarize(workload: str, runs: dict, metrics: list, pairs: int, seconds: float) -> None:
+    """Print one workload's table: per metric, both medians, their ratio, both
+    sides' quartiles and the pairs the change won."""
+    sides = ("parent", "change")
+    print(f"\n{workload}, {pairs} pairs of {seconds:g} s")
     print(f"{'metric':<12} {'unit':<4} {'parent':>10} {'change':>10} {'ratio':>7} "
           f"{'parent q1-q3':>21} {'change q1-q3':>21} {'change won':>11}")
     rows = [row for m in metrics for row in [m] + (SETUP_PARTS if m["name"] == "setup_s" else [])]
     for m in rows:
         values = {side: [r["metrics"][m["name"]]["value"] for r in runs[side]
                          if m["name"] in r.get("metrics", {})] for side in sides}
-        if len(values["parent"]) != args.pairs or len(values["change"]) != args.pairs:
+        if len(values["parent"]) != pairs or len(values["change"]) != pairs:
             print(f"{m['name']:<12} {m['unit']:<4} {'missing':>10}")
             continue
         sign = 1.0 if m["better"] == "higher" else -1.0
@@ -111,10 +131,7 @@ def main(argv=None) -> int:
         ratio = med["change"] / med["parent"] if med["parent"] else float("nan")
         spread = " ".join("{:>21}".format("{:.4g}-{:.4g}".format(*quartiles(values[side]))) for side in sides)
         print(f"{m['name']:<12} {m['unit']:<4} {med['parent']:>10.4g} {med['change']:>10.4g} {ratio:>7.3f} "
-              f"{spread} {won:>6} of {args.pairs}")
-    for line in bad:
-        print(f"bench_pairs: {line}", file=sys.stderr)
-    return 1 if bad else 0
+              f"{spread} {won:>6} of {pairs}")
 
 
 if __name__ == "__main__":

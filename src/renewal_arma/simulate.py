@@ -412,13 +412,33 @@ def simulate_counts(config: SimConfig, threads: int | None = None) -> CountSerie
 
 
 def sample_acvf(series, hmax: int) -> np.ndarray:
-    """Biased sample autocovariance (divisor n), which is positive semidefinite."""
-    y = np.asarray(series.values if isinstance(series, CountSeries) else series, dtype=float)
+    """Biased sample autocovariance (divisor n), which is positive semidefinite.
+
+    ``series`` holds integers or floats and is read in place, ``BLOCK`` values
+    at a time.  The mean is its sum over n: an integer sum is exact (while it
+    fits int64), a float one is numpy's pairwise sum, and on integer-valued
+    floats the two agree.  Each block is centred into one buffer behind the
+    last ``hmax`` centred values of the block before, and the lag-h products
+    of its values are one dot product per lag, added to the running sums; so
+    nothing series-sized is made, and the block size moves only the rounding
+    of those sums.
+    """
+    y = np.asarray(series.values if isinstance(series, CountSeries) else series)
+    if y.dtype.kind not in "biu":
+        y = y.astype(float, copy=False)
     n = len(y)
     if hmax >= n:
         raise ValueError("hmax must be smaller than the series length")
-    yc = np.subtract(y, y.mean(), out=series_zeros(n, float))
-    return np.array([np.dot(yc[: n - h], yc[h:]) / n for h in range(hmax + 1)])
+    mean = y.sum() / n
+    buf, sums = np.zeros(hmax + min(n, BLOCK)), np.zeros(hmax + 1)  # the zeros stand before time 0
+    for lo in range(0, n, BLOCK):
+        block = y[lo : lo + BLOCK]
+        k = len(block)
+        cur = np.subtract(block, mean, out=buf[hmax : hmax + k])
+        for h in range(hmax + 1):
+            sums[h] += np.dot(cur, buf[hmax - h : hmax - h + k])
+        buf[:hmax] = buf[k : k + hmax]
+    return sums / n
 
 
 def context_frequencies(bits, order: int) -> np.ndarray:
@@ -428,6 +448,8 @@ def context_frequencies(bits, order: int) -> np.ndarray:
     is that of :func:`.markov.context_hazards`, so ``tally[c, 1] / tally[c].sum()``
     estimates ``context_hazards(spec, order)[c]``; ``tally.ravel()`` is indexed
     by the window code x_t + 2 x_{t-1} + ... of :func:`.markov.window_law`.
+    The codes of ``BLOCK`` times at a time are built in the smallest unsigned
+    type that holds them, and each block's tally is added to the whole.
     """
     bits = np.asarray(bits)
     n = len(bits)
@@ -435,8 +457,13 @@ def context_frequencies(bits, order: int) -> np.ndarray:
         raise ValueError("bit sequence too short for the requested context length")
     # the window code, x_{t-order} in the top bit down to x_t in bit 0
     # (the unsafe cast lets float 0.0/1.0 bits count as integers)
-    codes = series_zeros(n - order, np.intp)
-    for j in range(order, -1, -1):
-        codes <<= 1
-        np.add(codes, bits[order - j : n - j], out=codes, casting="unsafe")
-    return np.bincount(codes, minlength=2 ** (order + 1)).reshape(-1, 2)
+    buf = np.empty(min(n - order, BLOCK), dtype=np.min_scalar_type(2 ** (order + 1) - 1))
+    tally = np.zeros(2 ** (order + 1), dtype=np.intp)
+    for lo in range(order, n, BLOCK):
+        codes = buf[: min(BLOCK, n - lo)]
+        np.copyto(codes, bits[lo - order : lo - order + len(codes)], casting="unsafe")
+        for j in range(order - 1, -1, -1):
+            codes <<= 1
+            np.add(codes, bits[lo - j : lo - j + len(codes)], out=codes, casting="unsafe")
+        tally += np.bincount(codes, minlength=len(tally))
+    return tally.reshape(-1, 2)

@@ -4,7 +4,10 @@
 routes to the scale constant, degree law, causality, stationarity, moment and
 series cross-checks).  ``full`` adds seeded Monte-Carlo gates: marginal
 moments, sample autocovariance, a chi-square test of the binomial marginal,
-and for two-term heads the joint/conditional/moment comparisons.
+and for two-term heads the joint/conditional/moment comparisons.  They read
+the simulated int64 counts and uint8 bits in place, a block or a batch at a
+time, so no series-sized copy is made: means are exact integer sums over
+their lengths, and the estimators stream through cache-sized pieces.
 
 The Markov gates read their targets from the capped-age chain of
 :mod:`.markov`: the three-bit window law and the context hazards.  The
@@ -39,16 +42,7 @@ from .lifetime import LifetimeSpec, RationalPGF
 from .markov import context_hazards, mgf_trivariate, step_pair_law, window_law, window_marginals
 from .polynomials import TOL_CIRCLE, Poly
 from .renewal import acvf_renewal, delayed_probs, gen_eval_renewal
-from .simulate import (
-    BLOCK,
-    SimConfig,
-    chain_rng,
-    context_frequencies,
-    sample_acvf,
-    series_zeros,
-    simulate_chain,
-    simulate_counts,
-)
+from .simulate import SimConfig, chain_rng, context_frequencies, sample_acvf, simulate_chain, simulate_counts
 
 N_BATCHES = 30
 MC_SEED = 20260812  # the default seed of the Monte-Carlo gates
@@ -90,9 +84,15 @@ def _batches(values: np.ndarray, n_batches: int = N_BATCHES) -> np.ndarray:
 
 
 def batch_se(values: np.ndarray, n_batches: int = N_BATCHES) -> float:
-    """Standard error of the mean estimated from batch means."""
-    means = _batches(values, n_batches).mean(axis=1)
-    return float(means.std(ddof=1) / math.sqrt(n_batches))
+    """Standard error of the mean estimated from batch means, each its batch's
+    sum over the batch length: exact for integer values."""
+    batches = _batches(values, n_batches)
+    return _means_se(batches.sum(axis=1) / batches.shape[1])
+
+
+def _means_se(means: np.ndarray) -> float:
+    """Standard error of the mean of equal batches whose means are ``means``."""
+    return float(means.std(ddof=1) / math.sqrt(len(means)))
 
 
 def verify_spec(
@@ -188,16 +188,18 @@ def monte_carlo_gates(spec: LifetimeSpec, M: int, seed: int) -> list[GateResult]
     pgf = spec.pgf()
     mu = pgf.mean()
     series = simulate_counts(SimConfig(spec=spec, M=M, steps=FULL_STEPS, seed=seed))
-    y = series_zeros(FULL_STEPS, float)
-    y[:] = series.values
+    # the int64 counts are read in place: means are exact integer sums over
+    # their lengths, and the estimators stream through them a block at a time
+    y = series.values
 
     se = batch_se(y)
-    out.append(_gate("mc_marginal_mean", abs(y.mean() - M / mu), 3 * se, "|sample mean - M/mu| vs 3*SE"))
+    out.append(_gate("mc_marginal_mean", abs(y.sum() / len(y) - M / mu), 3 * se, "|sample mean - M/mu| vs 3*SE"))
 
     thirds = y[:300000].reshape(3, 100000)
+    means = thirds.sum(axis=1) / thirds.shape[1]
     ses = [batch_se(t, 10) for t in thirds]
     worst = max(
-        abs(thirds[i].mean() - thirds[j].mean()) / math.sqrt(ses[i] ** 2 + ses[j] ** 2)
+        abs(means[i] - means[j]) / math.sqrt(ses[i] ** 2 + ses[j] ** 2)
         for i in range(3) for j in range(i + 1, 3)
     )
     out.append(_gate("mc_stationarity_thirds", worst, 5.0, "mean drift across thirds, units of SE"))
@@ -255,12 +257,27 @@ def _chi_square_gate(pgf: RationalPGF, M: int, series) -> GateResult:
 
 
 def binom_pmf(M: int, p: float) -> np.ndarray:
-    """P(Y = k) for k = 0..M, Y ~ Binomial(M, p) with 0 < p < 1:
-    comb(M, k) p^k (1 - p)^(M - k), each formed as the exponential of its
-    logarithm so that no factor overflows or underflows at large M."""
-    log_p, log_q = math.log(p), math.log1p(-p)
-    return np.array([math.exp(math.log(math.comb(M, k)) + k * log_p + (M - k) * log_q)
-                     for k in range(M + 1)])
+    """P(Y = k) for k = 0..M, Y ~ Binomial(M, p) with 0 < p < 1, in O(M).
+
+    The terms are found relative to the mode m = floor((M + 1) p), the
+    largest: from 1 at m, the ratio P(k + 1)/P(k) = (M - k) p / ((k + 1)(1 - p))
+    runs outward in both directions, each step no larger than 1, so nothing
+    overflows and the far tails underflow to 0.  The terms sum to 1/P(m), so
+    dividing by their sum makes them the pmf; no comb(M, k) or power of p is
+    formed.  A step rounds at most five times (1 - p and p / (1 - p) the
+    same way in every step), so a term j steps from the mode is within
+    5 j u relative of its exact ratio to the mode, u = 2**-53; the sum then
+    errs by at most 5 (sd(Y) + 1) u, and the whole term by about
+    (5 j + 5 sd(Y) + 8) u.
+    """
+    q = 1.0 - p
+    m = min(int((M + 1) * p), M)
+    k = np.arange(M + 1, dtype=float)
+    terms = np.empty(M + 1)
+    terms[m] = 1.0
+    np.cumprod((M - k[m:M]) / (k[m:M] + 1.0) * (p / q), out=terms[m + 1 :])  # steps k -> k + 1
+    terms[:m] = np.cumprod((k[m:0:-1] / (M + 1.0 - k[m:0:-1])) * (q / p))[::-1]  # steps k -> k - 1
+    return terms / math.fsum(terms)
 
 
 def chi2_sf(x: float, df: int) -> float:
@@ -295,7 +312,7 @@ def chi2_sf(x: float, df: int) -> float:
 
 def _markov_gates(spec: LifetimeSpec, M: int, seed: int, y: np.ndarray) -> list[GateResult]:
     """The joint, conditional and moment gates of a two-term head; ``y`` is the
-    superposed count series as floats."""
+    superposed count series, read in place."""
     out = []
     # one long indicator chain on a stream index the superposition never uses
     bits = simulate_chain(spec, FULL_STEPS, chain_rng(seed, M))
@@ -328,21 +345,30 @@ def _markov_gates(spec: LifetimeSpec, M: int, seed: int, y: np.ndarray) -> list[
     worst = np.max(np.abs(freq - context_hazards(spec, 2)[kept]) / (3 * se), initial=0.0)
     out.append(_gate("mc_conditionals", worst, 1.0, "max context error / (3*SE)"))
 
-    # exp(s0 y_t + s1 y_{t-1} + s2 y_{t-2}), summed in that order a block at a
-    # time into one series that serves all three points
-    lags = (y[2:], y[1:-1], y[:-2])  # y_t, y_{t-1}, y_{t-2}
-    samples, term = series_zeros(len(y) - 2, float), np.empty(BLOCK)
+    # the samples exp(s0 y_t + s1 y_{t-1} + s2 y_{t-2}), t = 2 .. n - 1, of all
+    # three points, summed in that order a batch at a time: a batch of counts
+    # is made float once, and each point's samples are formed in one buffer
+    # reused by every batch.  The batch sums give the batch means, and with
+    # the last few samples' sum the mean.
+    points = ((0.1, 0.2, 0.3), (0.2, 0.0, 0.1), (-0.1, 0.1, -0.2))
+    n = len(y) - 2
+    size = n // N_BATCHES
+    floats, part, term = np.empty(size + 2), np.empty(size), np.empty(size)
+    sums = [[] for _ in points]
+    for lo in range(0, n, size):
+        k = min(size, n - lo)
+        yb = floats[: k + 2]
+        yb[:] = y[lo : lo + k + 2]
+        for s, point_sums in zip(points, sums):
+            np.multiply(yb[2:], s[0], out=part[:k])
+            for shift, c in ((1, s[1]), (0, s[2])):
+                part[:k] += np.multiply(yb[shift : shift + k], c, out=term[:k])
+            point_sums.append(np.exp(part[:k], out=part[:k]).sum())
     worst = 0.0
-    for s in ((0.1, 0.2, 0.3), (0.2, 0.0, 0.1), (-0.1, 0.1, -0.2)):
-        for lo in range(0, len(samples), BLOCK):
-            part = samples[lo : lo + BLOCK]
-            np.multiply(lags[0][lo : lo + BLOCK], s[0], out=part)
-            for lag, c in zip(lags[1:], s[1:]):
-                part += np.multiply(lag[lo : lo + BLOCK], c, out=term[: len(part)])
-        np.exp(samples, out=samples)
+    for s, point_sums in zip(points, sums):
         target = mgf_trivariate(law, M, *s)
-        se = batch_se(samples)
-        worst = max(worst, abs(samples.mean() - target) / (3 * se))
+        se = _means_se(np.array(point_sums[:N_BATCHES]) / size)
+        worst = max(worst, abs(math.fsum(point_sums) / n - target) / (3 * se))
     out.append(_gate("mc_trivariate_mgf", worst, 1.0, "max MGF error / (3*SE) at three points"))
     return out
 

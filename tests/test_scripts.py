@@ -1,5 +1,6 @@
 """The example scripts run end to end on small inputs."""
 
+import json
 import os
 import shutil
 import subprocess
@@ -59,3 +60,48 @@ def test_bench_pairs_fails_on_a_broken_run(tmp_path):
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 1
     assert "pair 1 parent: " in proc.stderr
+
+
+def fake_runs(monkeypatch):
+    """Replace ``bench_pairs.run_once`` by a recorder of its calls that returns
+    the same metrics for every run; the list of calls is returned."""
+    import bench_pairs
+
+    calls = []
+
+    def run_once(checkout, workload, seed, seconds):
+        calls.append((checkout, workload, seed))
+        metrics = {name: {"value": 1.0, "unit": "s"} for name in
+                   ("setup_s", "import_s", "round_s", "ops_per_s", "op_p50_ms", "op_p90_ms", "peak_rss_mb")}
+        return {"correct": True, "metrics": metrics}
+
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    return calls
+
+
+def test_bench_pairs_interleaves_every_workload(monkeypatch, capsys, tmp_path):
+    from bench_pairs import main
+
+    calls = fake_runs(monkeypatch)
+    (tmp_path / "perfbench").mkdir()
+    (tmp_path / "perfbench" / "run.py").touch()
+    assert main(["--parent", str(tmp_path), "--pairs", "2", "--seconds", "1"]) == 0
+    names = [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
+    # each pair runs every workload, both sides back to back, parent first in pair 1
+    sides = [tmp_path.resolve(), ROOT]
+    want = [(sides[j if seed == 1 else 1 - j], w, seed) for seed in (1, 2) for w in names for j in (0, 1)]
+    assert calls == want
+    out = capsys.readouterr().out.splitlines()
+    assert [line.split(" (")[0] for line in out if line.startswith("pair ")] == \
+        [f"pair {seed} {w}" for seed in (1, 2) for w in names]
+    assert [line for line in out if line.endswith(" pairs of 1 s")] == [f"{w}, 2 pairs of 1 s" for w in names]
+
+
+def test_bench_pairs_repeated_workload(monkeypatch, capsys):
+    from bench_pairs import main
+
+    calls = fake_runs(monkeypatch)
+    argv = ["--parent", str(ROOT), "--pairs", "1", "--seconds", "1"]
+    assert main(argv + ["--workload", "verify_full", "--workload", "many_chains", "--workload", "verify_full"]) == 0
+    assert [w for _, w, _ in calls] == ["verify_full", "verify_full", "many_chains", "many_chains"]
+    assert len([line for line in capsys.readouterr().out.splitlines() if line.endswith(" of 1")]) == 2 * 7

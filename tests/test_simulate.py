@@ -1,6 +1,7 @@
 import hashlib
 import math
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -218,6 +219,45 @@ class TestSampleAcvf:
         with pytest.raises(ValueError):
             sample_acvf(np.zeros(10), 10)
 
+    @pytest.mark.parametrize("block, n, hmax, top", [
+        (None, 3 * simulate.BLOCK + 5, 20, 5), (None, simulate.BLOCK - 3, 3, 2 ** 20),
+        (1, 50, 20, 5), (7, 300, 20, 5), (64, 200, 0, 9), (1000, 3500, 10, 1), (5, 4, 3, 5),
+    ])
+    def test_within_exact_bound(self, monkeypatch, block, n, hmax, top):
+        # integer series against the exact autocovariance: with S the sum,
+        # n y_t - S are integers, and (1/n) sum (y_t - S/n)(y_{t-h} - S/n) is
+        # sum (n y_t - S)(n y_{t-h} - S) / n**3, a Fraction of integer dots.
+        # The computed mean is S/n within u, each centred value within
+        # 2u w_t, w_t = |y_t - S/n| + S/n, and the products' sum within
+        # gamma_n of its absolute sum: all within gamma_{n+8} sum w_t w_{t-h} / n.
+        # Blocks set smaller move only that rounding; one below hmax (7 < 20)
+        # carries the overlap through several blocks.
+        if block is not None:
+            monkeypatch.setattr(simulate, "BLOCK", block)
+        y = np.random.default_rng([n, hmax, top]).integers(0, top + 1, size=n)
+        got = sample_acvf(y, hmax)
+        total = int(y.sum())
+        d = (n * y - total).astype(object)  # Python ints: the dots below are exact
+        w = np.abs(y - total / n) + total / n
+        u = 2.0 ** -53
+        gamma = (n + 8) * u / (1 - (n + 8) * u)
+        for h in range(hmax + 1):
+            exact = Fraction(int(np.dot(d[h:], d[: n - h])), n ** 3)
+            bound = gamma * float(np.dot(w[h:], w[: n - h])) / n * (1 + 1e-12)
+            assert abs(Fraction(float(got[h])) - exact) <= Fraction(bound), h
+
+    @pytest.mark.parametrize("block", [None, 1, 7, 64])
+    def test_integer_and_float_input_agree(self, monkeypatch, block):
+        # the integer sum is exact and so is the pairwise float sum of integer
+        # values: the mean, each centred value and every product are the same
+        if block is not None:
+            monkeypatch.setattr(simulate, "BLOCK", block)
+        y = np.random.default_rng(3).integers(0, 6, size=2 * 10 ** 3 + 1)
+        want = sample_acvf(y.astype(float), 12)
+        assert np.array_equal(sample_acvf(y, 12), want)
+        assert np.array_equal(sample_acvf(y.astype(np.uint8), 12), want)
+        assert np.array_equal(sample_acvf(y.tolist(), 12), want)
+
 
 class TestEmpiricalConditionals:
     def test_iid_bits_flat(self, geometric_spec):
@@ -245,6 +285,21 @@ class TestEmpiricalConditionals:
         assert tally.tolist() == [[pairs[c, 0], pairs[c, 1]] for c in range(2 ** order)]
         assert tally.ravel().tolist() == [windows[w] for w in range(2 ** (order + 1))]
         assert np.array_equal(context_frequencies(bits.astype(float), order), tally)
+
+    @pytest.mark.parametrize("block", [None, 1, 7, 1000])
+    @pytest.mark.parametrize("order", range(10))
+    def test_matches_tally_across_code_types(self, monkeypatch, order, block):
+        # orders 0-7 build uint8 codes, 8 and 9 uint16; small blocks carry the
+        # order-bit overlap across many block boundaries
+        bits = (np.random.default_rng(order).random(2500) < 0.3).astype(np.uint8)
+        windows = Counter(sum(int(bits[t - j]) << j for j in range(order + 1)) for t in range(order, len(bits)))
+        want = [windows[w] for w in range(2 ** (order + 1))]
+        if block is not None:
+            monkeypatch.setattr(simulate, "BLOCK", block)
+        for x in (bits, bits.astype(float), bits.astype(np.int64)):
+            tally = context_frequencies(x, order)
+            assert tally.shape == (2 ** order, 2)
+            assert tally.ravel().tolist() == want
 
 
 def test_stream_independence(p2_spec):

@@ -142,7 +142,7 @@ def test_impossible_windows_pass_without_nan():
 
 def test_markov_gates_match_direct_statistics():
     # mc_conditionals sums its tally from the batch counts and mc_trivariate_mgf
-    # forms its samples a block at a time; both equal, to the bit, the
+    # sums its samples a batch at a time; both equal, to the bit, the
     # statistics taken over the whole series at once
     spec, M = make_constant_hazard((0.2, 0.3), 0.6), 5
     gates = {g.name: g.measured for g in monte_carlo_gates(spec, M, MC_SEED)}
@@ -160,6 +160,69 @@ def test_markov_gates_match_direct_statistics():
         samples = np.exp(s[0] * y[2:] + s[1] * y[1:-1] + s[2] * y[:-2])
         worst = max(worst, abs(samples.mean() - mgf_trivariate(law, M, *s)) / (3 * batch_se(samples)))
     assert gates["mc_trivariate_mgf"] == worst
+
+
+# each Monte-Carlo gate's name, pass flag and measured value on the six heads
+# of the verify_full benchmark (M = 5, MC_SEED), as the gates gave them from
+# a float copy of the whole series: reading the counts in place keeps them
+PINNED_MC_GATES = {
+    ((0.4,), 0.6): [
+        ("mc_marginal_mean", True, 0.00034000000000000696),
+        ("mc_stationarity_thirds", True, 1.2015283667345102),
+        ("mc_acvf", True, 0.28618087991214697),
+        ("mc_binomial_marginal", True, 0.8088021145081616),
+    ],
+    ((0.7,), 0.3): [
+        ("mc_marginal_mean", True, 0.00041100000000016124),
+        ("mc_stationarity_thirds", True, 2.363959656849026),
+        ("mc_acvf", True, 0.6100533963050191),
+        ("mc_binomial_marginal", True, 0.035530399128239985),
+    ],
+    ((0.2, 0.3), 0.6): [
+        ("mc_marginal_mean", True, 0.00019426229508190396),
+        ("mc_stationarity_thirds", True, 1.3539295882113374),
+        ("mc_acvf", True, 0.3152897797061738),
+        ("mc_binomial_marginal", True, 0.48068815033284124),
+        ("mc_joint_triples", True, 0.4143670169524873),
+        ("mc_conditionals", True, 0.32457323541451766),
+        ("mc_trivariate_mgf", True, 0.12279409068098925),
+    ],
+    ((0.5, 0.2), 0.4): [
+        ("mc_marginal_mean", True, 0.00010799999999999699),
+        ("mc_stationarity_thirds", True, 1.8340888866292167),
+        ("mc_acvf", True, 0.41306895395446275),
+        ("mc_binomial_marginal", True, 0.7276358110360208),
+        ("mc_joint_triples", True, 0.3621017602562602),
+        ("mc_conditionals", True, 0.3094522924894067),
+        ("mc_trivariate_mgf", True, 0.1399261224168675),
+    ],
+    ((0.2, 0.3, 0.1), 0.6): [
+        ("mc_marginal_mean", True, 0.000434515151515269),
+        ("mc_stationarity_thirds", True, 1.003169552079053),
+        ("mc_acvf", True, 0.21328030071339052),
+        ("mc_binomial_marginal", True, 0.10402268186082365),
+    ],
+    ((0.3, 0.1, 0.2), 0.5): [
+        ("mc_marginal_mean", True, 6.722580645179832e-05),
+        ("mc_stationarity_thirds", True, 1.153234752829852),
+        ("mc_acvf", True, 0.20622497667738532),
+        ("mc_binomial_marginal", True, 0.30183369105368363),
+    ],
+}
+# integer sums and exact tallies keep these to the bit; binom_pmf's rounding
+# moves the p-value; the lag products and the MGF mean are summed in another order
+PINNED_RTOL = {"mc_binomial_marginal": 1e-12, "mc_acvf": 1e-9, "mc_trivariate_mgf": 1e-9}
+
+
+@pytest.mark.parametrize("head, r", list(PINNED_MC_GATES))
+def test_monte_carlo_gates_pinned(head, r):
+    gates = monte_carlo_gates(make_constant_hazard(head, r), 5, MC_SEED)
+    assert [(g.name, g.passed) for g in gates] == [(name, passed) for name, passed, _ in PINNED_MC_GATES[head, r]]
+    for gate, (name, _, want) in zip(gates, PINNED_MC_GATES[head, r]):
+        if name in PINNED_RTOL:
+            assert gate.measured == pytest.approx(want, rel=PINNED_RTOL[name], abs=0.0), name
+        else:
+            assert gate.measured == want, name
 
 
 # --- the chi-square gate without scipy.stats; scipy.stats serves only as the reference here
@@ -215,6 +278,35 @@ def test_binom_pmf_matches_scipy(M, p):
     keep = ref > 1e-300
     np.testing.assert_allclose(got[keep], ref[keep], rtol=1e-12, atol=0.0)
     assert np.all(got[~keep] <= 1e-290)
+
+
+@pytest.mark.parametrize("M", [10 ** 4, 10 ** 5])
+@pytest.mark.parametrize("p", [1e-3, 0.1, 1 / 3.05, 0.5, 0.93])
+def test_binom_pmf_at_large_M(M, p):
+    # binom_pmf bounds the relative error of the term j steps from the mode m
+    # by (5 j + 5 sd + 8) u: each ratio step rounds at most five times and the
+    # normalising sum averages those errors.  Against the exact pmf of the
+    # binary p (200-bit mpmath, about a hundred terms from the mode to both
+    # ends of the terms above 1e-300) the largest measured error is 0.11 of
+    # that bound.  scipy's own terms stray from the exact ones by up to about
+    # twice the bound at M = 10**4, so against scipy four times it is allowed.
+    import mpmath
+    from scipy import stats
+
+    got = binom_pmf(M, p)
+    k = np.arange(M + 1)
+    m = min(int((M + 1) * p), M)
+    bound = (5 * np.abs(k - m) + 5 * math.sqrt(M * p * (1 - p)) + 8) * 2.0 ** -53
+    ref = stats.binom.pmf(k, M, p)
+    keep = ref > 1e-300
+    assert np.all(np.abs(got - ref)[keep] <= 4 * bound[keep] * ref[keep])
+    assert np.all(got[~keep] <= 1e-290)
+    kept = k[keep]
+    with mpmath.workprec(200):
+        q = 1 - mpmath.mpf(p)
+        for j in map(int, np.unique(np.r_[kept[:: max(1, len(kept) // 100)], kept[-1], m])):
+            exact = mpmath.binomial(M, j) * mpmath.mpf(p) ** j * q ** (M - j)
+            assert abs(got[j] - exact) <= bound[j] * exact, j
 
 
 @pytest.mark.parametrize("head,r,M", [((0.2, 0.3), 0.6, 1), ((0.2, 0.3), 0.6, 5),
