@@ -5,14 +5,13 @@ nonlattice lifetime with rational generating function P/Q factors as
 
     G(z) = (k M / mu) * theta(z) theta(1/z) / (phi(z) phi(1/z)),
 
-with all roots of phi and theta strictly outside the unit circle and no root
-shared between them.  phi is read off the pgf's survival numerator and theta
-and k are split from its spectral numerator (both built by
-:class:`.lifetime.RationalPGF`).  ``factorize`` carries that factorization out
-numerically; ``closed_form_p2`` gives the explicit coefficients available for
-the two-term-head family; ``arma_acvf`` and ``gen_eval_arma`` recompute the
-autocovariance from the ARMA side for cross-validation against the renewal
-side.
+with all roots of phi and theta strictly outside the unit circle.  phi is
+read off the pgf's survival numerator and theta and k are split from its
+spectral numerator (both built by :class:`.lifetime.RationalPGF`).
+``factorize`` carries that factorization out numerically; ``closed_form_p2``
+gives the explicit coefficients available for the two-term-head family;
+``arma_acvf`` and ``gen_eval_arma`` recompute the autocovariance from the
+ARMA side for cross-validation against the renewal side.
 """
 
 from __future__ import annotations
@@ -27,7 +26,6 @@ from .lifetime import RationalPGF
 from .polynomials import TOL_CIRCLE, Poly, factor_outside, rational_series, roots, values
 
 K_CROSS_CHECK_RTOL = 1e-9
-COMMON_ROOT_TOL = 1e-8
 CIRCLE_POINTS = 64
 
 
@@ -158,8 +156,9 @@ def arma_acvf(model: ArmaModel, hmax: int) -> np.ndarray:
     psi(z) = theta(z)/phi(z) is expanded by :func:`rational_series` until the
     geometric tail bound ``rho**T / (1 - rho) < 1e-14`` holds, with rho the
     largest reciprocal modulus of the AR roots; then
-    gamma(h) = sigma2 * sum_j psi_j psi_{j+h}, all lags from one correlation
-    of psi, zero-padded by hmax, with psi.
+    gamma(h) = sigma2 * sum_{j<T} psi_j psi_{j+h}, all lags from one
+    correlation of psi_0..psi_{T+hmax-1} with psi_0..psi_{T-1}, so the cost
+    grows as T * hmax.
     """
     if hmax < 0:
         raise ValueError("hmax must be nonnegative")
@@ -172,7 +171,7 @@ def arma_acvf(model: ArmaModel, hmax: int) -> np.ndarray:
         T = max(T, math.ceil(math.log(1e-14 * (1.0 - rho)) / math.log(rho)) + 1)
     length = T + hmax
     psi = rational_series(theta_poly(model), phi_poly(model), length)
-    return model.sigma2 * np.correlate(np.concatenate((psi, np.zeros(hmax))), psi, "valid")
+    return model.sigma2 * np.correlate(psi, psi[:T], "valid")
 
 
 def gen_eval_arma(model: ArmaModel, z):
@@ -194,14 +193,13 @@ def gen_eval_arma(model: ArmaModel, z):
 
 @dataclass(frozen=True)
 class CausalityReport:
-    """Roots of the AR and MA polynomials, their moduli and the smallest AR/MA root
-    distance; ``passes`` means every root lies farther than ``TOL_CIRCLE`` outside the unit circle."""
+    """Roots of the AR and MA polynomials and their moduli; ``passes`` means
+    every root lies farther than ``TOL_CIRCLE`` outside the unit circle."""
 
     ar_roots: tuple[complex, ...]
     ma_roots: tuple[complex, ...]
     ar_root_moduli: tuple[float, ...]
     ma_root_moduli: tuple[float, ...]
-    min_root_gap: float
     passes: bool
 
 
@@ -214,19 +212,21 @@ def check_causal_invertible(model: ArmaModel) -> CausalityReport:
     moduli = np.abs(np.array(ar_roots + ma_roots, dtype=complex)).tolist()
     p = len(ar_roots)
     report = CausalityReport(tuple(ar_roots), tuple(ma_roots), tuple(moduli[:p]), tuple(moduli[p:]),
-                             _root_gaps(ar_roots, ma_roots).min(initial=math.inf).item(),
                              passes=all(m > 1.0 + TOL_CIRCLE for m in moduli))
     object.__setattr__(model, "_causality", report)
     return report
 
 
-def _root_gaps(ar_roots, ma_roots) -> np.ndarray:
-    """``|a - b|`` for every AR root a (rows) and MA root b (columns)."""
-    return np.abs(np.subtract.outer(np.array(ar_roots, dtype=complex), ma_roots))
-
-
 def validate_model(model: ArmaModel) -> None:
-    """Raise unless the model is causal, invertible, and nondegenerate."""
+    """Raise unless the model is causal, invertible, and nondegenerate.
+
+    No AR root is checked against the MA roots: for a pgf P/Q in lowest
+    terms, causality already rules out a shared root.  phi is
+    A = (Q - P)/(1 - z) up to scale, and each root of theta is one of D, where
+    (1 - z)(1 - 1/z) D(z) = Q(z)Q(1/z) - P(z)P(1/z).  A root z0 of both has
+    P(z0) = Q(z0), nonzero in lowest terms, so 0 = Q(z0)(1 - 1/z0)A(1/z0):
+    phi would have the root 1/z0 inside the circle.
+    """
     if model.k <= 0.0 or model.sigma2 <= 0.0:
         raise FactorizationError("model constants must be positive")
     report = check_causal_invertible(model)
@@ -234,10 +234,6 @@ def validate_model(model: ArmaModel) -> None:
         part, z = next((part, z) for part, zs in (("AR", report.ar_roots), ("MA", report.ma_roots))
                        for z in zs if not abs(z) > 1.0 + TOL_CIRCLE)
         raise FactorizationError(f"{part} root {z} not outside the unit circle")
-    if report.min_root_gap < COMMON_ROOT_TOL:
-        gaps = _root_gaps(report.ar_roots, report.ma_roots)
-        a = report.ar_roots[int(np.argmin(gaps)) // gaps.shape[1]]
-        raise FactorizationError(f"AR and MA parts share the root {a}")
 
 
 def second_moment_limit(pgf: RationalPGF) -> float:
@@ -271,7 +267,7 @@ def _is_number(x) -> bool:
 
 
 def model_from_dict(obj: dict) -> ArmaModel:
-    """Deserialize without validating; run :func:`validate_model` to gate it.
+    """Deserialize without validating; ``verify --model`` gates it with :func:`.verify.verify_model`.
     ``phi`` and ``theta`` must be lists of numbers and ``M`` an integral number
     (a bool is neither); every number must be finite and ``mu`` nonzero."""
     try:

@@ -182,6 +182,8 @@ def cmd_factorize(parser, args) -> int:
     if args.pgf_num is not None or args.pgf_den is not None:
         if args.pgf_num is None or args.pgf_den is None:
             parser.error("--pgf-num and --pgf-den must be given together")
+        if args.head is not None or args.r is not None or args.allow_zero_f1:
+            parser.error("--pgf-num/--pgf-den give the lifetime: they take no --head, --r or --allow-zero-f1")
         if not all(math.isfinite(c) for c in args.pgf_num + args.pgf_den):
             raise ValidationError("pgf coefficients must be finite")
         pgf = make_rational_pgf(Poly(tuple(args.pgf_num)), Poly(tuple(args.pgf_den)))

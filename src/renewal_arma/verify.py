@@ -25,7 +25,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arma import (
-    COMMON_ROOT_TOL,
     arma_acvf,
     check_causal_invertible,
     closed_form_p2,
@@ -141,10 +140,7 @@ def analytic_gates(spec: LifetimeSpec, M: int) -> list[GateResult]:
         out.append(GateResult("degree_law", ok, float(len(model.theta)), float(max(spec.p - 1, 0)),
                               f"expected AR order {spec.p}, MA order {max(spec.p - 1, 0)}"))
 
-    report = check_causal_invertible(model)
-    out.append(_causal_gate(report))
-    out.append(_gate("no_common_roots", report.min_root_gap, COMMON_ROOT_TOL, "min AR/MA root separation",
-                     larger_is_better=True))
+    out.append(_causal_gate(check_causal_invertible(model)))
 
     if spec.p == 2:
         phi_cf, theta_cf, k_cf = closed_form_p2(spec.head[0], spec.head[1], spec.r)
@@ -329,9 +325,12 @@ def _markov_gates(spec: LifetimeSpec, M: int, seed: int, y: np.ndarray) -> list[
             if freqs[:, code].any():
                 worst = math.inf
             continue
-        est = freqs[:, code].mean()
-        se = freqs[:, code].std(ddof=1) / math.sqrt(N_BATCHES)
-        worst = max(worst, abs(est - target) / (3 * se))
+        column = freqs[:, code]
+        if (column == column[0]).all():  # no spread to estimate from: the binomial SE of all the triples
+            se = math.sqrt(target * (1.0 - target) / (N_BATCHES * batch))
+        else:
+            se = column.std(ddof=1) / math.sqrt(N_BATCHES)
+        worst = max(worst, abs(column.mean() - target) / (3 * se))
     out.append(_gate("mc_joint_triples", worst, 1.0, "max cell error / (3*SE)"))
 
     # the batches hold every triple but the last few, so they sum to the whole tally
@@ -341,8 +340,9 @@ def _markov_gates(spec: LifetimeSpec, M: int, seed: int, y: np.ndarray) -> list[
     seen = tally.sum(axis=1)
     kept = seen >= MIN_CONTEXT_COUNT
     freq = tally[kept, 1] / seen[kept]
-    se = np.sqrt(np.maximum(freq * (1 - freq), 1e-12) / seen[kept])
-    worst = np.max(np.abs(freq - context_hazards(spec, 2)[kept]) / (3 * se), initial=0.0)
+    hazard = context_hazards(spec, 2)[kept]
+    se = np.sqrt(np.maximum(hazard * (1 - hazard), 1e-12) / seen[kept])  # the binomial SE at the target
+    worst = np.max(np.abs(freq - hazard) / (3 * se), initial=0.0)
     out.append(_gate("mc_conditionals", worst, 1.0, "max context error / (3*SE)"))
 
     # the samples exp(s0 y_t + s1 y_{t-1} + s2 y_{t-2}), t = 2 .. n - 1, of all

@@ -23,7 +23,8 @@ from renewal_arma import (
 from renewal_arma import arma
 from renewal_arma.arma import ArmaModel, model_from_dict, model_to_dict, phi_poly, theta_poly, validate_model
 from renewal_arma.errors import SingularEvaluationError
-from renewal_arma.polynomials import roots
+from renewal_arma.lifetime import RationalPGF
+from renewal_arma.polynomials import Poly, roots
 from renewal_arma.verify import verify_spec
 from conftest import dirichlet_specs, exact_variance
 
@@ -111,10 +112,10 @@ class TestKeptFactorization:
         assert solves == {"factor_outside": 1, "roots": 2}
 
     def test_refusal_is_not_kept(self, solves):
-        # an AR root and an MA root 2e-9 apart
-        pgf = make_constant_hazard(np.random.default_rng(4).dirichlet(np.ones(16))[:15] * 0.9, 0.5).pgf()
+        # support {1, 3}: F(-1) = -1, so D(-1) = 0 and theta would need a root on the circle
+        pgf = RationalPGF(Poly((0.0, 0.4, 0.0, 0.6)), Poly((1.0,)))
         for attempt in (1, 2):
-            with pytest.raises(FactorizationError, match="share the root"):
+            with pytest.raises(FactorizationError, match="not a valid symmetric spectral density"):
                 factorize(pgf, 5)
             assert solves["factor_outside"] == attempt
 
@@ -198,6 +199,13 @@ class TestArmaAcvf:
         want = acvf_renewal(p2_spec.pgf(), 5, 50)
         got = arma_acvf(model, 50)
         assert np.max(np.abs(got - want)) < 1e-8
+
+    def test_long_lags_keep_the_short_ones(self, p2_spec):
+        # each lag sums the same truncated psi terms, however many lags are asked for
+        model = factorize(p2_spec.pgf(), 5)
+        short, long = arma_acvf(model, 50), arma_acvf(model, 200_000)
+        assert long.shape == (200_001,)
+        np.testing.assert_allclose(long[:51], short, rtol=0.0, atol=4 * np.finfo(float).eps * short[0])
 
     def test_noncausal_rejected(self):
         model = ArmaModel(phi=(1.0,), theta=(), k=1.0, M=1, mu=1.0)
@@ -288,11 +296,6 @@ class TestCausalInvertible:
     def test_validate_names_root_inside_circle(self, phi, theta, part):
         model = ArmaModel(phi=phi, theta=theta, k=1.0, M=1, mu=1.0)
         with pytest.raises(FactorizationError, match=f"{part} .* not outside the unit circle"):
-            validate_model(model)
-
-    def test_validate_rejects_common_root(self):
-        model = ArmaModel(phi=(0.5,), theta=(-0.5,), k=1.0, M=1, mu=1.0)
-        with pytest.raises(FactorizationError, match="share"):
             validate_model(model)
 
 

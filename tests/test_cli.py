@@ -80,15 +80,41 @@ class TestFactorize:
         assert err
 
     def test_nearly_cancelling_pole_exit_code(self, capsys):
-        # a tail mass of 1e-13 leaves an AR root within 4e-13 of an MA root
-        code, _, err = run(capsys, "factorize", "--head", "0.5,0.4999999999999", "--r", "0.5")
-        assert code == 4
-        assert "share the root" in err
+        # a tail mass of 1e-13 leaves an AR root within 4e-13 of an MA root;
+        # the pgf is in lowest terms, so the two are distinct and the model holds
+        argv = ("--head", "0.5,0.4999999999999", "--r", "0.5")
+        code, out, _ = run(capsys, "factorize", *argv)
+        assert code == 0
+        assert len(json.loads(out)["model"]["theta"]) == 1
+        code, out, _ = run(capsys, "verify", *argv)
+        assert code == 0
+        assert "VERIFY: 15/15 gates passed" in out
 
     def test_raw_pgf_input(self, capsys):
         code, out, _ = run(capsys, "factorize", "--pgf-num", "0,0.5", "--pgf-den", "1,-0.5")
         assert code == 0
         assert json.loads(out)["model"]["k"] == pytest.approx(0.5)
+
+    @pytest.mark.parametrize("spec_flags", [("--head", "0.2,0.3", "--r", "0.6"), ("--r", "0.3"),
+                                            ("--allow-zero-f1",)])
+    def test_raw_pgf_with_spec_flags_rejected(self, capsys, spec_flags):
+        with pytest.raises(SystemExit) as exc:
+            main(["factorize", "--pgf-num", "0,0.5", "--pgf-den", "1,-0.5", *spec_flags])
+        assert exc.value.code == 2
+        assert "--pgf-num/--pgf-den" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("conf, flags", [
+        ({"head": [0.2, 0.3], "r": 0.6}, ("--pgf-num", "0,1", "--pgf-den", "1")),
+        ({"pgf-num": [0, 0.5], "pgf-den": [1, -0.5]}, ("--r", "0.3")),
+        ({"pgf_num": [0, 0.5], "pgf_den": [1, -0.5], "allow-zero-f1": True}, ()),
+    ])
+    def test_raw_pgf_with_spec_config_rejected(self, capsys, tmp_path, conf, flags):
+        path = tmp_path / "conf.json"
+        path.write_text(json.dumps(conf))
+        with pytest.raises(SystemExit) as exc:
+            main(["factorize", "--config", str(path), *flags])
+        assert exc.value.code == 2
+        assert "--pgf-num/--pgf-den" in capsys.readouterr().err
 
     def test_raw_pgf_pole_in_disk_exit_code(self, capsys):
         # pole at 2/3: the series reads 0, 2, 0.5, 0.75, ..., so P(L = 1) would be 2
@@ -394,7 +420,7 @@ class TestVerify:
     def test_near_unit_tail_rate_passes(self, capsys):
         code, out, _ = run(capsys, "verify", "--head", "0.2,0.3", "--r", "0.99")
         assert code == 0
-        assert "VERIFY: 16/16 gates passed" in out
+        assert "VERIFY: 15/15 gates passed" in out
 
     def test_malformed_model_file(self, capsys, tmp_path):
         model_path = tmp_path / "model.json"
