@@ -253,8 +253,9 @@ def _series_blocks(values, meta, fmt):
     in memory.  CSV blocks never cross a decade of t, so every t in a block
     has the same d digits; the first d - k of them are constant and the last
     k count up from zero, a copy of a table of the numbers below 10**k.
+    ``values`` is an array of nonnegative integers of any integer type: the
+    counts are encoded in their own type.
     """
-    values = np.asarray(values, dtype=np.int64)
     if fmt == "csv":
         yield ("# meta: " + json.dumps(meta, separators=(",", ":"), sort_keys=True) + "\nt,y\n").encode()
         low = _low_digits()
@@ -310,7 +311,14 @@ def _count_field(text, at, counts, sep: int) -> np.ndarray:
     """Fill columns ``at`` to the end of the uint8 row matrix ``text``: each
     count in decimal, right-aligned to the widest, then the separator byte.
     Returns the rows as one flat array; only a block whose counts differ in
-    width needs a gather to drop the leading zeros."""
+    width needs a gather to drop the leading zeros.
+
+    The arithmetic stays in the counts' own type.  In a narrow unsigned type
+    ``rest + ord("0")`` and ``10 * quot`` may wrap, but the digit is their
+    difference, and wrapping cancels in it: a digit byte is the exact result
+    modulo the type's range, which is a multiple of 256.  The powers of ten
+    are made in that type too, since numpy before 2.0 compares uint64 with
+    int64 in float64."""
     width = text.shape[1] - at - 1
     text[:, -1] = sep
     rest = counts
@@ -322,7 +330,7 @@ def _count_field(text, at, counts, sep: int) -> np.ndarray:
     if width == 1 or int(counts.min()) >= 10 ** (width - 1):
         return text.reshape(-1)
     keep = np.ones(text.shape, dtype=bool)
-    keep[:, at : at + width - 1] = counts[:, None] >= 10 ** np.arange(width - 1, 0, -1)
+    keep[:, at : at + width - 1] = counts[:, None] >= 10 ** np.arange(width - 1, 0, -1, dtype=counts.dtype)
     return text[keep]
 
 

@@ -90,7 +90,13 @@ class SimConfig:
 
 @dataclass(frozen=True, eq=False)
 class CountSeries:
-    """Integer series in [0, M] together with the configuration that produced it."""
+    """Integer series in [0, M] together with the configuration that produced it.
+
+    ``values`` holds the counts in the smallest unsigned type that holds M,
+    ``np.min_scalar_type(M)``: uint8 up to M = 255, uint16 up to 65535, and
+    so on.  Arithmetic in that type wraps, so widen the counts before
+    summing products or differences of them.
+    """
 
     values: np.ndarray
     config: SimConfig
@@ -343,9 +349,9 @@ def _rows(laws: ChainLaws, steps: int) -> tuple[int, int]:
 
 
 def _superpose(laws: ChainLaws, steps: int, rngs, out: np.ndarray) -> None:
-    """Add 1 into ``out`` (int64 counts, or the uint8 bits of one chain) at each
-    renewal epoch below ``steps`` of each stationary chain, one per generator
-    that ``rngs`` yields.
+    """Add 1 into ``out`` (counts in the smallest unsigned type that holds M,
+    or the uint8 bits of one chain) at each renewal epoch below ``steps`` of
+    each stationary chain, one per generator that ``rngs`` yields.
 
     A chain's first renewal comes after an equilibrium delay, drawn from its
     first word, and each later one after a lifetime.  Chains run in groups
@@ -402,9 +408,11 @@ def simulate_counts(config: SimConfig, threads: int | None = None) -> CountSerie
     the numpy calls of a block and long ones are cut into blocks.  Chain c
     reads the stream of ``chain_rng(config.seed, c)``, from one of a group's
     worth of generators re-keyed to its key, so the M chains are never held
-    at once.  ``threads`` is accepted for compatibility and ignored.
+    at once.  The counts are held in the smallest unsigned type that holds M,
+    ``np.min_scalar_type(M)``, which no count can overflow.  ``threads`` is
+    accepted for compatibility and ignored.
     """
-    values = series_zeros(config.steps, np.int64)
+    values = series_zeros(config.steps, np.min_scalar_type(config.M))
     laws = ChainLaws.of(config.spec)
     rngs = _chain_rngs(config.seed, config.M, min(config.M, _rows(laws, config.steps)[1]))
     _superpose(laws, config.steps, rngs, values)
@@ -416,12 +424,12 @@ def sample_acvf(series, hmax: int) -> np.ndarray:
 
     ``series`` holds integers or floats and is read in place, ``BLOCK`` values
     at a time.  The mean is its sum over n: an integer sum is exact (while it
-    fits int64), a float one is numpy's pairwise sum, and on integer-valued
-    floats the two agree.  Each block is centred into one buffer behind the
-    last ``hmax`` centred values of the block before, and the lag-h products
-    of its values are one dot product per lag, added to the running sums; so
-    nothing series-sized is made, and the block size moves only the rounding
-    of those sums.
+    fits 64 bits, in which numpy sums any integer type), a float one is
+    numpy's pairwise sum, and on integer-valued floats the two agree.  Each
+    block is centred into one buffer behind the last ``hmax`` centred values
+    of the block before, and the lag-h products of its values are one dot
+    product per lag, added to the running sums; so nothing series-sized is
+    made, and the block size moves only the rounding of those sums.
     """
     y = np.asarray(series.values if isinstance(series, CountSeries) else series)
     if y.dtype.kind not in "biu":

@@ -5,9 +5,10 @@ routes to the scale constant, degree law, causality, stationarity, moment and
 series cross-checks).  ``full`` adds seeded Monte-Carlo gates: marginal
 moments, sample autocovariance, a chi-square test of the binomial marginal,
 and for two-term heads the joint/conditional/moment comparisons.  They read
-the simulated int64 counts and uint8 bits in place, a block or a batch at a
-time, so no series-sized copy is made: means are exact integer sums over
-their lengths, and the estimators stream through cache-sized pieces.
+the simulated counts, in the smallest unsigned type that holds M, and the
+uint8 bits in place, a block or a batch at a time, so no series-sized copy
+is made: means are exact integer sums over their lengths, and the
+estimators and the chi-square tally stream through cache-sized pieces.
 
 The Markov gates read their targets from the capped-age chain of
 :mod:`.markov`: the three-bit window law and the context hazards.  The
@@ -41,7 +42,15 @@ from .lifetime import LifetimeSpec, RationalPGF
 from .markov import context_hazards, mgf_trivariate, step_pair_law, window_law, window_marginals
 from .polynomials import TOL_CIRCLE, Poly
 from .renewal import acvf_renewal, delayed_probs, gen_eval_renewal
-from .simulate import SimConfig, chain_rng, context_frequencies, sample_acvf, simulate_chain, simulate_counts
+from .simulate import (
+    BLOCK,
+    SimConfig,
+    chain_rng,
+    context_frequencies,
+    sample_acvf,
+    simulate_chain,
+    simulate_counts,
+)
 
 N_BATCHES = 30
 MC_SEED = 20260812  # the default seed of the Monte-Carlo gates
@@ -184,8 +193,10 @@ def monte_carlo_gates(spec: LifetimeSpec, M: int, seed: int) -> list[GateResult]
     pgf = spec.pgf()
     mu = pgf.mean()
     series = simulate_counts(SimConfig(spec=spec, M=M, steps=FULL_STEPS, seed=seed))
-    # the int64 counts are read in place: means are exact integer sums over
-    # their lengths, and the estimators stream through them a block at a time
+    # the counts, in the smallest unsigned type that holds M, are read in
+    # place: means are exact integer sums over their lengths (numpy sums a
+    # narrow type in 64 bits), and the estimators stream through them a block
+    # at a time
     y = series.values
 
     se = batch_se(y)
@@ -230,7 +241,12 @@ def _chi_square_gate(pgf: RationalPGF, M: int, series) -> GateResult:
     stride = int(below[0]) if below.size else 256
     y = series.values[:: max(stride, 1)]
     probs = binom_pmf(M, 1.0 / pgf.mean())
-    observed = np.bincount(y, minlength=M + 1).astype(float)
+    # tallied a block at a time: bincount copies its input to intp, which on
+    # the whole series would be a copy eight times the size of narrow counts
+    tally = np.zeros(M + 1, dtype=np.intp)
+    for lo in range(0, len(y), BLOCK):
+        tally += np.bincount(y[lo : lo + BLOCK], minlength=M + 1)
+    observed = tally.astype(float)
     expected = probs * len(y)
     # merge bins until every expected count is at least 5
     obs_m, exp_m = [], []

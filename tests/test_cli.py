@@ -247,9 +247,9 @@ class TestSimulate:
         assert err.startswith("error: ")
 
     def test_unallocatable_series_is_argument_error(self, capsys, tmp_path):
-        # 10**18 int64 counts are 6.9 EiB, past any user address space (at most
-        # 128 PiB, with five-level paging), so the allocation is refused at once,
-        # before any file is opened
+        # 10**18 uint8 counts (M = 5) are 0.87 EiB, past any user address space
+        # (at most 128 PiB, with five-level paging), so the allocation is
+        # refused at once, before any file is opened
         out = tmp_path / "x.csv"
         code, _, err = run(capsys, "simulate", "--head", "0.2,0.3", "--r", "0.6", "--M", "5",
                            "--steps", str(10 ** 18), "--seed", "1", "--out", str(out))
@@ -285,25 +285,36 @@ def text_series(values, meta, fmt):
                       separators=(",", ":"), sort_keys=True) + "\n"
 
 
-@given(st.lists(st.integers(0, 12) | st.integers(0, 2 ** 63 - 1), min_size=1, max_size=300))
+def typed_counts(values):
+    """``values`` as int64 and as each unsigned type that holds them all: the
+    simulator keeps counts in the smallest unsigned type that holds M."""
+    top = int(values.max())
+    types = [t for t in (np.uint8, np.uint16, np.uint32, np.uint64) if top <= np.iinfo(t).max]
+    return [values.astype(t) for t in [np.int64, *types]]
+
+
+@given(st.sampled_from([12, 2 ** 8 - 1, 2 ** 16 - 1, 2 ** 32 - 1, 2 ** 63 - 1]).flatmap(
+    lambda top: st.lists(st.integers(0, 12) | st.integers(0, top), min_size=1, max_size=300)))
 @example([0])
 @example([0, 9, 10, 99, 100, 10 ** 9 - 1, 10 ** 9, 2 ** 63 - 1])
+@example(list(range(200, 256)))  # in uint8, rest + ord("0") wraps from 208 up
 def test_series_bytes_match_text_formatter(values):
-    values = np.array(values, dtype=np.int64)
-    for fmt in ("csv", "json"):
-        assert b"".join(_series_blocks(values, SIM_META, fmt)) == text_series(values, SIM_META, fmt).encode()
+    for typed in typed_counts(np.array(values, dtype=np.int64)):
+        for fmt in ("csv", "json"):
+            assert b"".join(_series_blocks(typed, SIM_META, fmt)) == text_series(typed, SIM_META, fmt).encode()
 
 
 @pytest.mark.parametrize("length", [1, 9, 10, 11, 99, 100, 101, 999, 1000, 1001,
                                     10 ** 4, 10 ** 4 + 1, 123457])
-@pytest.mark.parametrize("top", [0, 1, 9, 10, 11, 1000, 2 ** 63 - 1])
+@pytest.mark.parametrize("top", [0, 1, 9, 10, 11, 255, 1000, 2 ** 32 - 1, 2 ** 63 - 1])
 def test_long_series_bytes_match_text_formatter(length, top):
     # counts of every width up to top's, in blocks that reach a 6-digit t
     rng = np.random.default_rng([length, top % 1000])
     values = rng.integers(0, top, length, endpoint=True) // 10 ** rng.integers(0, len(str(top)), length)
     values[rng.integers(length)] = top
-    for fmt in ("csv", "json"):
-        assert b"".join(_series_blocks(values, SIM_META, fmt)) == text_series(values, SIM_META, fmt).encode()
+    for typed in typed_counts(values):
+        for fmt in ("csv", "json"):
+            assert b"".join(_series_blocks(typed, SIM_META, fmt)) == text_series(typed, SIM_META, fmt).encode()
 
 
 class TestVerify:

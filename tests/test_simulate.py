@@ -154,6 +154,23 @@ class TestSimulateCounts:
         bits = simulate_chain(p2_spec, 5000, chain_rng(3, 0))
         assert np.array_equal(series.values, bits)
 
+    def test_counts_in_narrowest_unsigned_type(self):
+        # the counts are held in np.min_scalar_type(M), on both sides of the
+        # uint8 and uint16 limits; f_1 = 0.999 renews nearly every chain at
+        # every step, so the counts come near M.  The reference counts at each
+        # M are those of ref_simulate_counts, the sum of the first M reference
+        # chains, added up in one pass over the chains.
+        spec, steps, seed = make_constant_hazard([0.999], 0.0), 5, 21
+        want, chains = np.zeros(steps, dtype=np.int64), 0
+        for M, dtype in ((1, np.uint8), (255, np.uint8), (256, np.uint16),
+                         (65535, np.uint16), (65536, np.uint32)):
+            for chain in range(chains, M):
+                want += ref_simulate_chain(spec, steps, chain_rng(seed, chain))
+            chains = M
+            values = simulate_counts(SimConfig(spec=spec, M=M, steps=steps, seed=seed)).values
+            assert values.dtype == np.min_scalar_type(M) == dtype
+            assert np.array_equal(values, want), M
+
     def test_values_bounded_by_M(self, p2_spec):
         series = simulate_counts(SimConfig(spec=p2_spec, M=3, steps=50000, seed=1))
         assert series.values.min() >= 0

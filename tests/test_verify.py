@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -264,6 +265,21 @@ def test_monte_carlo_gates_pinned(head, r):
             assert gate.measured == pytest.approx(want, rel=PINNED_RTOL[name], abs=0.0), name
         else:
             assert gate.measured == want, name
+
+
+def test_monte_carlo_gates_make_no_wide_series_copy():
+    # at M = 5 the counts are uint8, 1 MB at FULL_STEPS (below the memory-map
+    # size, so numpy's allocation of them is traced), and every gate reads them
+    # in place or a block at a time.  One series-sized copy in 8-byte items,
+    # such as a float or int64 widening or a bincount of the whole series
+    # (which copies its input to intp), would add 8 MB to the traced peak.
+    tracemalloc.start()
+    try:
+        monte_carlo_gates(make_constant_hazard((0.4,), 0.6), 5, MC_SEED)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 10 ** 6
 
 
 # --- the chi-square gate without scipy.stats; scipy.stats serves only as the reference here
